@@ -10,14 +10,7 @@ style measures and should grow close to cutoff^4.
 import argparse
 import math
 
-from vacmom import Mat3, Material, cutoff_sweep, scaling_slopes
-
-CHANNELS = (
-    "abs_e_cross_b",
-    "abs_e_cross_chiT_e",
-    "abs_b_cross_chi_b",
-    "abs_b_dot_chiT_e",
-)
+from vacmom import MAGNITUDE_CHANNELS, Mat3, Material, cutoff_sweep, scaling_slopes
 
 
 def main():
@@ -43,15 +36,15 @@ def main():
     ]
 
     sweep = cutoff_sweep(m, args.grid, cuts, 1.0)
-    print(f"{'cutoff':>12} {'modes':>8}", *(f"{c:>14}" for c in CHANNELS))
+    print(f"{'cutoff':>12} {'modes':>8}", *(f"{c:>14}" for c in MAGNITUDE_CHANNELS))
     for cutoff, sums in sweep:
         print(
             f"{cutoff:12.4e} {sums.mode_count:>8}",
-            *(f"{getattr(sums, c):14.6e}" for c in CHANNELS),
+            *(f"{getattr(sums, c):14.6e}" for c in MAGNITUDE_CHANNELS),
         )
     print()
     slopes = scaling_slopes(sweep)
-    for name in CHANNELS:
+    for name in MAGNITUDE_CHANNELS:
         s = slopes[name]
         label = "n/a" if math.isnan(s) else f"{s:.4f}"
         print(f"slope {name:<22}: {label}")

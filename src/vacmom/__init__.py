@@ -49,6 +49,7 @@ from .momentum import (
     lagrangian_consistency_check,
     medium_velocity,
     term_ratio,
+    term_ratio_of,
     velocity_from_bilinears,
 )
 from .relativity import (
@@ -58,8 +59,8 @@ from .relativity import (
     transform_fields,
 )
 from .vacuum import (
+    MAGNITUDE_CHANNELS,
     BilinearSums,
-    Mode,
     ModeSet,
     build_mode_set,
     cutoff_sweep,
@@ -84,9 +85,9 @@ __all__ = [
     "FieldState",
     "HBAR",
     "LagrangianBreakdown",
+    "MAGNITUDE_CHANNELS",
     "Mat3",
     "Material",
-    "Mode",
     "ModeSet",
     "RunConfig",
     "SweepSpec",
@@ -114,6 +115,7 @@ __all__ = [
     "parse_config",
     "scaling_slopes",
     "term_ratio",
+    "term_ratio_of",
     "transform_constants",
     "transform_fields",
     "triple",

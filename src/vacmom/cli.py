@@ -37,14 +37,19 @@ from .errors import (
     EmptyModeSet,
 )
 from .lagrangian import verify_expansion
-from .momentum import VelocityResult, medium_velocity, velocity_from_bilinears
+from .momentum import medium_velocity, term_ratio_of, velocity_from_bilinears
 from .relativity import index_of, transform_constants
-from .vacuum import build_mode_set, cutoff_sweep, scaling_slopes, vacuum_bilinears
+from .vacuum import (
+    MAGNITUDE_CHANNELS,
+    build_mode_set,
+    cutoff_sweep,
+    scaling_slopes,
+    vacuum_bilinears,
+)
 
 DEFAULT_BETA_GRID = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 SLOPE_WINDOW = (1.9, 2.1)
 
-_RATIO_FLOOR = 1e-300
 _LONGITUDINAL_TOL = 1e-9
 
 
@@ -177,13 +182,6 @@ def cmd_expand_check(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _ratio_of(vr: VelocityResult) -> float | None:
-    denom = vr.abraham_minkowski_term.z + vr.chi_E_term.z + vr.chi_B_term.z
-    if abs(denom) < _RATIO_FLOOR:
-        return None
-    return abs(vr.mu_term_z) / abs(denom)
-
-
 def cmd_velocity(cfg: RunConfig, args) -> int:
     m = cfg.material
     if cfg.vacuum is not None:
@@ -234,7 +232,7 @@ def cmd_velocity(cfg: RunConfig, args) -> int:
             vr.chi_B_term.y,
             vr.chi_B_term.z,
             vr.mu_term_z,
-            _ratio_of(vr),
+            term_ratio_of(vr),
         )
     ]
     _emit(cfg, args, "velocity", header, rows)
@@ -264,12 +262,7 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
                 raise ConfigError(f"sweep.values: grid_n must be integral, got {v!r}")
             ms = build_mode_set(m, int(v), vac.cutoff, vac.volume)
             labelled.append((int(v), vacuum_bilinears(ms, m)))
-        slopes = {name: None for name in (
-            "abs_e_cross_b",
-            "abs_e_cross_chiT_e",
-            "abs_b_cross_chi_b",
-            "abs_b_dot_chiT_e",
-        )}
+        slopes = dict.fromkeys(MAGNITUDE_CHANNELS)
     else:
         raise ConfigError(
             "vacuum-sweep supports sweeping 'cutoff' or 'grid_n',"
@@ -290,14 +283,8 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
         "e_cross_chiT_e_z",
         "b_cross_chi_b_z",
         "b_dot_chiT_e",
-        "abs_e_cross_b",
-        "abs_e_cross_chiT_e",
-        "abs_b_cross_chi_b",
-        "abs_b_dot_chiT_e",
-        "slope_abs_e_cross_b",
-        "slope_abs_e_cross_chiT_e",
-        "slope_abs_b_cross_chi_b",
-        "slope_abs_b_dot_chiT_e",
+        *MAGNITUDE_CHANNELS,
+        *(f"slope_{name}" for name in MAGNITUDE_CHANNELS),
     )
     rows = []
     for value, sums in labelled:
@@ -311,14 +298,8 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
                 sums.e_cross_chiT_e.z,
                 sums.b_cross_chi_b.z,
                 sums.b_dot_chiT_e,
-                sums.abs_e_cross_b,
-                sums.abs_e_cross_chiT_e,
-                sums.abs_b_cross_chi_b,
-                sums.abs_b_dot_chiT_e,
-                _maybe_nan(slopes["abs_e_cross_b"]),
-                _maybe_nan(slopes["abs_e_cross_chiT_e"]),
-                _maybe_nan(slopes["abs_b_cross_chi_b"]),
-                _maybe_nan(slopes["abs_b_dot_chiT_e"]),
+                *(getattr(sums, name) for name in MAGNITUDE_CHANNELS),
+                *(_maybe_nan(slopes[name]) for name in MAGNITUDE_CHANNELS),
             )
         )
     _emit(cfg, args, "vacuum-sweep", header, rows)

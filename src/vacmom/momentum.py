@@ -91,22 +91,30 @@ def medium_velocity(m: Material, f: FieldState) -> VelocityResult:
     )
 
 
-def term_ratio(m: Material, f: FieldState) -> float:
+def term_ratio_of(vr: VelocityResult) -> float | None:
     """|mu_term_z| relative to the z-projection of the other three terms.
 
     Quantifies the size of the permeability-transform correction against
-    the previously known contributions. Raises DivisionDegenerate when
-    those contributions have no z-component to compare against.
+    the previously known contributions. Returns None when those
+    contributions have no z-component to compare against.
     """
-    vr = medium_velocity(m, f)
-    denom = (
-        vr.abraham_minkowski_term.z + vr.chi_E_term.z + vr.chi_B_term.z
-    )
+    denom = vr.abraham_minkowski_term.z + vr.chi_E_term.z + vr.chi_B_term.z
     if abs(denom) < _RATIO_FLOOR:
+        return None
+    return abs(vr.mu_term_z) / abs(denom)
+
+
+def term_ratio(m: Material, f: FieldState) -> float:
+    """term_ratio_of the classical velocity equation for fields f.
+
+    Raises DivisionDegenerate where term_ratio_of returns None.
+    """
+    ratio = term_ratio_of(medium_velocity(m, f))
+    if ratio is None:
         raise DivisionDegenerate(
             "z-projection of the non-correction terms vanishes"
         )
-    return abs(vr.mu_term_z) / abs(denom)
+    return ratio
 
 
 def lagrangian_consistency_check(m: Material, f: FieldState, beta_probe: float) -> float:

@@ -1,4 +1,4 @@
-"""Zero-point plane-wave mode ensembles and vacuum expectation sums.
+"""Zero-point plane-wave sums of the velocity-equation field bilinears.
 
 Wavevectors live on a cell-centered Cartesian grid: grid_n cells per
 axis tile [-cutoff, cutoff], each cell contributing its center, and the
@@ -6,52 +6,65 @@ result is filtered to the sharp sphere |k| <= cutoff with k = 0 excluded.
 Cell centers come in exact +/-k floating point pairs, which the
 cancellation diagnostics rely on.
 
-Each retained k carries two transverse polarizations built from a fixed
-reference axis (z, or x when k is nearly parallel to z), an in-medium
-frequency omega = c |k| / n, and the zero-point amplitude
+Each retained k stands for two transverse polarization modes with
+in-medium frequency omega = c |k| / n and zero-point amplitude a, where
 
-    amplitude = sqrt(2 pi hbar omega / V).
+    a^2 = 2 pi hbar omega / V = 2 pi hbar c |k| / (n V).
 
 Cycle averaging of the real fields is absorbed into that amplitude, so
-every bilinear below shares one convention: per mode, E = amplitude e
-and B = n amplitude (khat x e).
+per polarization e the fields are E = a e and B = n a (khat x e).
+Summed over both polarizations, e e^T is the transverse projector
+I - khat khat^T whatever basis is chosen, so no basis is built: each
+bilinear has a closed form per wavevector. With ax(chi) =
+(chi_yz - chi_zy, chi_zx - chi_xz, chi_xy - chi_yx),
 
-Sums are accumulated with Neumaier compensation in one fixed mode order.
-Results are therefore bit-stable; any parallel split a caller might
-introduce must reduce in this order to preserve that.
+    E x B         =  2 n a^2 khat
+    E x (chi^T E) =  a^2 (ax(chi) - khat x chi^T khat)
+    B x (chi B)   = -n^2 a^2 (ax(chi) + khat x chi khat)
+    B . chi^T E   =  n a^2 khat . ax(chi)
+
+Every channel is reduced with math.fsum, which is exactly rounded, so
+the sums do not depend on the order of the wavevectors and the terms of
+a +/-k pair that are exact negations cancel to exactly 0.0.
 
 Alongside the four signed sums we track per-wavevector magnitude
 channels (sum over k of |per-k polarization-summed bilinear|). The
 signed sums of odd-in-k quantities cancel over the symmetric grid by
 construction; the magnitude channels are what grows with the cutoff and
-what the scaling diagnostics fit. Per-wavevector (not per-mode) grouping
-keeps these channels independent of the polarization basis choice.
+what the scaling diagnostics fit.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from dataclasses import dataclass
 
-from .algebra import Material, Vec3, XHAT, ZHAT, cross, dot, mat_apply
+from .algebra import Material, Vec3
 from .constants import C_LIGHT, HBAR
 from .errors import EmptyModeSet
 
-
-@dataclass(frozen=True, slots=True)
-class Mode:
-    k_vector: Vec3
-    polarization: Vec3
-    amplitude: float
+MAGNITUDE_CHANNELS = (
+    "abs_e_cross_b",
+    "abs_e_cross_chiT_e",
+    "abs_b_cross_chi_b",
+    "abs_b_dot_chiT_e",
+)
 
 
 @dataclass(frozen=True, slots=True)
 class ModeSet:
-    modes: tuple[Mode, ...]
+    """Wavevectors (kx, ky, kz) in rad/cm, each carrying two modes."""
+
+    wavevectors: tuple[tuple[float, float, float], ...]
     cutoff: float
     volume: float
     grid_n: int
+
+    @property
+    def mode_count(self) -> int:
+        return 2 * len(self.wavevectors)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,39 +89,11 @@ class BilinearSums:
     zero_point_energy: float
 
 
-class _NeumaierSum:
-    """Kahan-Neumaier compensated accumulator."""
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self):
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def add(self, value: float) -> None:
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - t) + value
-        else:
-            self._comp += (value - t) + self._sum
-        self._sum = t
-
-    def value(self) -> float:
-        return self._sum + self._comp
-
-
-def _polarization_pair(khat: Vec3) -> tuple[Vec3, Vec3]:
-    ref = ZHAT if abs(khat.z) <= 0.9 else XHAT
-    e1 = cross(ref, khat)
-    e1 = e1.scale(1.0 / e1.norm())
-    e2 = cross(khat, e1)
-    return e1, e2
-
-
 def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> ModeSet:
     """Discretize the zero-point field below the cutoff.
 
-    grid_n >= 2 cells per axis; cutoff in rad/cm; volume in cm^3.
+    grid_n >= 2 cells per axis; cutoff in rad/cm; volume in cm^3. The
+    grid itself does not depend on the material m.
     Raises EmptyModeSet if the spherical filter removes everything.
     """
     if grid_n < 2:
@@ -123,96 +108,81 @@ def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> Mo
     # is an exact multiple of 0.5 and IEEE negation commutes with the
     # final multiply
     coords = [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
-    n = m.index
-    modes: list[Mode] = []
-    for kx in coords:
-        for ky in coords:
-            for kz in coords:
-                if kx == 0.0 and ky == 0.0 and kz == 0.0:
-                    continue
-                knorm = math.sqrt(kx * kx + ky * ky + kz * kz)
-                if knorm > cutoff:
-                    continue
-                k = Vec3(kx, ky, kz)
-                khat = k.scale(1.0 / knorm)
-                omega = C_LIGHT * knorm / n
-                amplitude = math.sqrt(2.0 * math.pi * HBAR * omega / volume)
-                e1, e2 = _polarization_pair(khat)
-                modes.append(Mode(k, e1, amplitude))
-                modes.append(Mode(k, e2, amplitude))
-    if not modes:
+    # hypot neither underflows nor overflows where k.k would
+    wavevectors = tuple(
+        (kx, ky, kz)
+        for kx in coords
+        for ky in coords
+        for kz in coords
+        if 0.0 < math.hypot(kx, ky, kz) <= cutoff
+    )
+    if not wavevectors:
         raise EmptyModeSet(
             f"no modes survive cutoff={cutoff!r} with grid_n={grid_n!r}"
         )
-    return ModeSet(tuple(modes), cutoff, volume, grid_n)
+    return ModeSet(wavevectors, cutoff, volume, grid_n)
+
+
+# per wavevector: e_cross_b (3), e_cross_chiT_e (3), b_cross_chi_b (3),
+# b_dot_chiT_e, the four magnitude channels and hbar c |k| / n
+_CHANNELS = 15
 
 
 def vacuum_bilinears(ms: ModeSet, m: Material) -> BilinearSums:
     """Sum the velocity-equation bilinears over all zero-point modes."""
-    if not ms.modes:
+    if not ms.wavevectors:
         raise EmptyModeSet("mode set is empty")
     n = m.index
-    chi = m.chi
-    chi_t = chi.transpose()
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    ax, ay, az = yz - zy, zx - xz, xy - yx
+    a2_per_k = 2.0 * math.pi * HBAR * C_LIGHT / (n * ms.volume)
+    zpe_per_k = HBAR * C_LIGHT / n
 
-    acc_exb = (_NeumaierSum(), _NeumaierSum(), _NeumaierSum())
-    acc_exce = (_NeumaierSum(), _NeumaierSum(), _NeumaierSum())
-    acc_bxcb = (_NeumaierSum(), _NeumaierSum(), _NeumaierSum())
-    acc_bce = _NeumaierSum()
-    abs_exb = _NeumaierSum()
-    abs_exce = _NeumaierSum()
-    abs_bxcb = _NeumaierSum()
-    abs_bce = _NeumaierSum()
-    zpe = _NeumaierSum()
+    # the channels of each wavevector, interleaved in the order above
+    terms = array("d")
+    for kx, ky, kz in ms.wavevectors:
+        k = math.hypot(kx, ky, kz)
+        ux, uy, uz = kx / k, ky / k, kz / k
+        a2 = a2_per_k * k
+        # chi^T khat and chi khat
+        tx = xx * ux + yx * uy + zx * uz
+        ty = xy * ux + yy * uy + zy * uz
+        tz = xz * ux + yz * uy + zz * uz
+        sx = xx * ux + xy * uy + xz * uz
+        sy = yx * ux + yy * uy + yz * uz
+        sz = zx * ux + zy * uy + zz * uz
+        two_na2 = 2.0 * n * a2
+        exb = (two_na2 * ux, two_na2 * uy, two_na2 * uz)
+        exce = (
+            a2 * (ax - (uy * tz - uz * ty)),
+            a2 * (ay - (uz * tx - ux * tz)),
+            a2 * (az - (ux * ty - uy * tx)),
+        )
+        minus_n2a2 = -n * n * a2
+        bxcb = (
+            minus_n2a2 * (ax + (uy * sz - uz * sy)),
+            minus_n2a2 * (ay + (uz * sx - ux * sz)),
+            minus_n2a2 * (az + (ux * sy - uy * sx)),
+        )
+        bce = n * a2 * (ux * ax + uy * ay + uz * az)
+        terms.extend((
+            *exb, *exce, *bxcb, bce,
+            math.hypot(*exb), math.hypot(*exce), math.hypot(*bxcb), abs(bce),
+            zpe_per_k * k,
+        ))
 
-    def _flush(exb: Vec3, exce: Vec3, bxcb: Vec3, bce: float) -> None:
-        for a, v in zip(acc_exb, exb.as_tuple()):
-            a.add(v)
-        for a, v in zip(acc_exce, exce.as_tuple()):
-            a.add(v)
-        for a, v in zip(acc_bxcb, bxcb.as_tuple()):
-            a.add(v)
-        acc_bce.add(bce)
-        abs_exb.add(exb.norm())
-        abs_exce.add(exce.norm())
-        abs_bxcb.add(bxcb.norm())
-        abs_bce.add(abs(bce))
-
-    # group consecutive modes sharing a wavevector so the magnitude
-    # channels see the polarization-summed (basis independent) per-k value
-    i = 0
-    total = len(ms.modes)
-    while i < total:
-        k = ms.modes[i].k_vector
-        knorm = k.norm()
-        khat = k.scale(1.0 / knorm)
-        exb = Vec3(0.0, 0.0, 0.0)
-        exce = Vec3(0.0, 0.0, 0.0)
-        bxcb = Vec3(0.0, 0.0, 0.0)
-        bce = 0.0
-        while i < total and ms.modes[i].k_vector == k:
-            mode = ms.modes[i]
-            e_field = mode.polarization.scale(mode.amplitude)
-            b_field = cross(khat, mode.polarization).scale(n * mode.amplitude)
-            exb = exb + cross(e_field, b_field)
-            exce = exce + cross(e_field, mat_apply(chi_t, e_field))
-            bxcb = bxcb + cross(b_field, mat_apply(chi, b_field))
-            bce = bce + dot(b_field, mat_apply(chi_t, e_field))
-            zpe.add(0.5 * HBAR * C_LIGHT * knorm / n)
-            i += 1
-        _flush(exb, exce, bxcb, bce)
-
+    sums = [math.fsum(terms[i::_CHANNELS]) for i in range(_CHANNELS)]
     return BilinearSums(
-        e_cross_b=Vec3(*(a.value() for a in acc_exb)),
-        e_cross_chiT_e=Vec3(*(a.value() for a in acc_exce)),
-        b_cross_chi_b=Vec3(*(a.value() for a in acc_bxcb)),
-        b_dot_chiT_e=acc_bce.value(),
-        abs_e_cross_b=abs_exb.value(),
-        abs_e_cross_chiT_e=abs_exce.value(),
-        abs_b_cross_chi_b=abs_bxcb.value(),
-        abs_b_dot_chiT_e=abs_bce.value(),
-        mode_count=len(ms.modes),
-        zero_point_energy=zpe.value(),
+        e_cross_b=Vec3(*sums[0:3]),
+        e_cross_chiT_e=Vec3(*sums[3:6]),
+        b_cross_chi_b=Vec3(*sums[6:9]),
+        b_dot_chiT_e=sums[9],
+        abs_e_cross_b=sums[10],
+        abs_e_cross_chiT_e=sums[11],
+        abs_b_cross_chi_b=sums[12],
+        abs_b_dot_chiT_e=sums[13],
+        mode_count=ms.mode_count,
+        zero_point_energy=sums[14],
     )
 
 
@@ -239,14 +209,6 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     return out
 
 
-_MAGNITUDE_CHANNELS = (
-    "abs_e_cross_b",
-    "abs_e_cross_chiT_e",
-    "abs_b_cross_chi_b",
-    "abs_b_dot_chiT_e",
-)
-
-
 def scaling_slopes(sweep) -> dict[str, float]:
     """Log-log growth exponents of each magnitude channel over a sweep.
 
@@ -254,7 +216,7 @@ def scaling_slopes(sweep) -> dict[str, float]:
     (or with fewer than two usable points) get nan.
     """
     slopes: dict[str, float] = {}
-    for name in _MAGNITUDE_CHANNELS:
+    for name in MAGNITUDE_CHANNELS:
         pts = [
             (math.log(c), math.log(getattr(s, name)))
             for c, s in sweep

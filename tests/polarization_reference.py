@@ -1,0 +1,109 @@
+"""Explicit polarization-basis reference for the vacuum bilinear sums.
+
+The library sums each bilinear per wavevector in closed form. This
+module keeps the direct construction those closed forms replace: two
+transverse unit polarizations per wavevector, per-mode fields E = a e
+and B = n a (khat x e) with a = sqrt(2 pi hbar omega / V), and every
+bilinear summed over the two modes. The tests compare the library
+against it.
+"""
+
+import math
+from dataclasses import dataclass
+
+from vacmom import BilinearSums, Material, ModeSet, Vec3, XHAT, ZHAT, cross, dot, mat_apply
+from vacmom.constants import C_LIGHT, HBAR
+
+
+@dataclass(frozen=True)
+class Mode:
+    khat: Vec3
+    polarization: Vec3
+    amplitude: float
+    E: Vec3
+    B: Vec3
+
+
+def polarization_pair(khat: Vec3, theta: float = 0.0) -> tuple[Vec3, Vec3]:
+    """Two unit vectors transverse to khat and to each other.
+
+    They are built from the reference axis z, or x when khat is within
+    about 25 degrees of z, then rotated by theta about khat.
+    """
+    ref = ZHAT if abs(khat.z) <= 0.9 else XHAT
+    e1 = cross(ref, khat)
+    e1 = e1.scale(1.0 / e1.norm())
+    e2 = cross(khat, e1)
+    if theta:
+        c, s = math.cos(theta), math.sin(theta)
+        e1, e2 = e1.scale(c) + e2.scale(s), e2.scale(c) - e1.scale(s)
+    return e1, e2
+
+
+def amplitude(kmag: float, m: Material, volume: float) -> float:
+    return math.sqrt(2.0 * math.pi * HBAR * (C_LIGHT * kmag / m.index) / volume)
+
+
+def modes(k, m: Material, volume: float, theta: float = 0.0) -> tuple[Mode, Mode]:
+    """The two zero-point modes of wavevector k = (kx, ky, kz)."""
+    kvec = Vec3(*k)
+    khat = kvec.scale(1.0 / kvec.norm())
+    amp = amplitude(kvec.norm(), m, volume)
+    return tuple(
+        Mode(
+            khat,
+            e,
+            amp,
+            e.scale(amp),
+            cross(khat, e).scale(m.index * amp),
+        )
+        for e in polarization_pair(khat, theta)
+    )
+
+
+def wavevector_bilinears(k, m: Material, volume: float, theta: float = 0.0):
+    """(E x B, E x chi^T E, B x chi B, B . chi^T E) summed over the modes of k."""
+    chi_t = m.chi.transpose()
+    exb = exce = bxcb = Vec3(0.0, 0.0, 0.0)
+    bce = 0.0
+    for mode in modes(k, m, volume, theta):
+        e, b = mode.E, mode.B
+        exb = exb + cross(e, b)
+        exce = exce + cross(e, mat_apply(chi_t, e))
+        bxcb = bxcb + cross(b, mat_apply(m.chi, b))
+        bce = bce + dot(b, mat_apply(chi_t, e))
+    return exb, exce, bxcb, bce
+
+
+def reference_bilinears(ms: ModeSet, m: Material, theta: float = 0.0) -> BilinearSums:
+    """vacuum_bilinears computed mode by mode in an explicit basis."""
+    channels = [[] for _ in range(15)]
+    for k in ms.wavevectors:
+        exb, exce, bxcb, bce = wavevector_bilinears(k, m, ms.volume, theta)
+        kmag = Vec3(*k).norm()
+        row = (
+            *exb.as_tuple(),
+            *exce.as_tuple(),
+            *bxcb.as_tuple(),
+            bce,
+            math.hypot(*exb.as_tuple()),
+            math.hypot(*exce.as_tuple()),
+            math.hypot(*bxcb.as_tuple()),
+            abs(bce),
+            HBAR * C_LIGHT * kmag / m.index,
+        )
+        for channel, value in zip(channels, row):
+            channel.append(value)
+    sums = [math.fsum(channel) for channel in channels]
+    return BilinearSums(
+        e_cross_b=Vec3(*sums[0:3]),
+        e_cross_chiT_e=Vec3(*sums[3:6]),
+        b_cross_chi_b=Vec3(*sums[6:9]),
+        b_dot_chiT_e=sums[9],
+        abs_e_cross_b=sums[10],
+        abs_e_cross_chiT_e=sums[11],
+        abs_b_cross_chi_b=sums[12],
+        abs_b_dot_chiT_e=sums[13],
+        mode_count=2 * len(ms.wavevectors),
+        zero_point_energy=sums[14],
+    )

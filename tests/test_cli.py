@@ -348,6 +348,25 @@ def test_vacuum_sweep_grid_refinement(tmp_path, capsys):
     assert d2 < d1
 
 
+@pytest.mark.parametrize("cutoff", [1e-300, 1e5, 1e300])
+def test_vacuum_sweep_extreme_cutoffs(tmp_path, capsys, cutoff):
+    # |k| is formed with hypot, so k.k neither underflows to a zero norm
+    # nor overflows and empties the sphere
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 4, "cutoff": cutoff, "volume": 1.0},
+            "sweep": {"parameter": "grid_n", "values": [4, 6]},
+        },
+    )
+    rc, out, err = run_cli(capsys, ["vacuum-sweep", path])
+    assert rc == 0, err
+    rows = read_rows(out)
+    assert [int(r["mode_count"]) for r in rows] == [64, 272]
+    assert all(float(r["zero_point_energy"]) > 0.0 for r in rows)
+
+
 def test_vacuum_sweep_rejects_fractional_grid(tmp_path, capsys):
     path = write_config(
         tmp_path,

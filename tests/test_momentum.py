@@ -24,6 +24,7 @@ from vacmom import (
     medium_velocity,
     me_density_first_order,
     term_ratio,
+    term_ratio_of,
 )
 
 CHI_G = Mat3(0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -162,9 +163,11 @@ def test_magnetic_reversal_flips_signed_terms():
 
 def test_term_ratio_golden_and_degenerate():
     assert term_ratio(M_GOLDEN, F_GOLDEN) > 0.0
+    assert term_ratio_of(medium_velocity(M_GOLDEN, F_GOLDEN)) == term_ratio(M_GOLDEN, F_GOLDEN)
     zero = Vec3(0.0, 0.0, 0.0)
     with pytest.raises(DivisionDegenerate):
         term_ratio(M_GOLDEN, FieldState(zero, zero))
+    assert term_ratio_of(medium_velocity(M_GOLDEN, FieldState(zero, zero))) is None
 
 
 def test_consistency_check_probe_validation():

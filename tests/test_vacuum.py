@@ -3,16 +3,22 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polarization_reference import (
+    amplitude,
+    modes,
+    reference_bilinears,
+)
 from vacmom.constants import C_LIGHT, HBAR
 from vacmom import (
+    MAGNITUDE_CHANNELS,
     EmptyModeSet,
     Mat3,
     Material,
-    Mode,
     ModeSet,
     Vec3,
-    ZHAT,
     build_mode_set,
     cross,
     cutoff_sweep,
@@ -26,13 +32,39 @@ CUTOFF = 1e5
 M_EMPTY = Material(1.0, 1.0, Mat3.zero(), 1.0)
 CHI_G = Mat3(0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0)
 M_COUPLED = Material(2.25, 1.0, CHI_G, 1.0)
+M_GENERIC = Material(
+    2.6, 0.74, Mat3(-0.09, -0.16, -0.38, 0.33, 0.33, -0.25, -0.41, 0.13, -0.3), 1.0
+)
+
+
+def assert_sums_match(got, want, m, a2):
+    """Channel by channel within 1e-12 of the channel's natural scale."""
+    chi_scale = a2 * max(abs(x) for row in m.chi.rows() for x in row)
+    for name, scale in (
+        ("e_cross_b", a2),
+        ("e_cross_chiT_e", chi_scale),
+        ("b_cross_chi_b", chi_scale),
+    ):
+        for g, w in zip(getattr(got, name).as_tuple(), getattr(want, name).as_tuple()):
+            assert abs(g - w) <= 1e-12 * scale, name
+    for name, scale in (
+        ("b_dot_chiT_e", chi_scale),
+        ("abs_e_cross_b", a2),
+        ("abs_e_cross_chiT_e", chi_scale),
+        ("abs_b_cross_chi_b", chi_scale),
+        ("abs_b_dot_chiT_e", chi_scale),
+    ):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale, name
+    assert got.mode_count == want.mode_count
+    assert math.isclose(got.zero_point_energy, want.zero_point_energy, rel_tol=1e-12)
 
 
 def test_minimal_grid_geometry():
     ms = build_mode_set(M_EMPTY, 2, CUTOFF, 1.0)
     # 8 octant cell centers, all inside the sphere, two polarizations each
-    assert len(ms.modes) == 16
-    kmags = {mode.k_vector.norm() for mode in ms.modes}
+    assert len(ms.wavevectors) == 8
+    assert ms.mode_count == 16
+    kmags = {math.hypot(*k) for k in ms.wavevectors}
     assert len(kmags) == 1
     (kmag,) = kmags
     assert math.isclose(kmag, math.sqrt(3.0) / 2.0 * CUTOFF, rel_tol=1e-15)
@@ -40,16 +72,17 @@ def test_minimal_grid_geometry():
 
 def test_wavevectors_come_in_exact_opposite_pairs():
     ms = build_mode_set(M_COUPLED, 5, CUTOFF, 1.0)
-    kset = {mode.k_vector.as_tuple() for mode in ms.modes}
+    kset = set(ms.wavevectors)
     for kx, ky, kz in kset:
         assert (-kx, -ky, -kz) in kset
 
 
 def test_modes_are_grouped_by_wavevector():
+    # two polarization modes per wavevector, each wavevector listed once
     ms = build_mode_set(M_COUPLED, 4, CUTOFF, 1.0)
-    assert len(ms.modes) % 2 == 0
-    for i in range(0, len(ms.modes), 2):
-        assert ms.modes[i].k_vector == ms.modes[i + 1].k_vector
+    assert ms.mode_count == 2 * len(ms.wavevectors)
+    assert len(set(ms.wavevectors)) == len(ms.wavevectors)
+    assert vacuum_bilinears(ms, M_COUPLED).mode_count == ms.mode_count
 
 
 def test_mode_invariants():
@@ -57,34 +90,36 @@ def test_mode_invariants():
     n = m.index
     volume = 3.0
     ms = build_mode_set(m, 4, CUTOFF, volume)
-    for mode in ms.modes:
-        kmag = mode.k_vector.norm()
+    for k in ms.wavevectors:
+        kmag = math.hypot(*k)
         assert kmag <= CUTOFF
         assert kmag > 0.0
-        khat = mode.k_vector.scale(1.0 / kmag)
-        e = mode.polarization
-        assert abs(e.norm() - 1.0) <= 1e-12
-        assert abs(dot(e, khat)) <= 1e-12
+        khat = Vec3(*k).scale(1.0 / kmag)
         want_amp = math.sqrt(2.0 * math.pi * HBAR * (C_LIGHT * kmag / n) / volume)
-        assert math.isclose(mode.amplitude, want_amp, rel_tol=1e-12)
-    for i in range(0, len(ms.modes), 2):
-        assert abs(dot(ms.modes[i].polarization, ms.modes[i + 1].polarization)) <= 1e-12
+        pair = modes(k, m, volume)
+        for mode in pair:
+            e = mode.polarization
+            assert abs(e.norm() - 1.0) <= 1e-12
+            assert abs(dot(e, khat)) <= 1e-12
+            assert math.isclose(mode.amplitude, want_amp, rel_tol=1e-12)
+        assert abs(dot(pair[0].polarization, pair[1].polarization)) <= 1e-12
+        # the library's per-k E x B carries the same amplitude: 2 n a^2
+        single = vacuum_bilinears(ModeSet((k,), CUTOFF, volume, 4), m)
+        assert math.isclose(single.abs_e_cross_b, 2.0 * n * want_amp**2, rel_tol=1e-12)
 
 
 def test_odd_grid_excludes_origin_and_covers_axial_reference_branch():
     ms = build_mode_set(M_EMPTY, 3, CUTOFF, 1.0)
     # 27 centers, minus the origin, minus the 8 corner diagonals outside
     # the sphere, leaves 18 wavevectors
-    assert len(ms.modes) == 36
-    assert all(mode.k_vector.norm() > 0.0 for mode in ms.modes)
-    axial = [
-        mode
-        for mode in ms.modes
-        if abs(mode.k_vector.z) / mode.k_vector.norm() > 0.9
-    ]
+    assert ms.mode_count == 36
+    assert all(math.hypot(*k) > 0.0 for k in ms.wavevectors)
+    axial = [k for k in ms.wavevectors if abs(k[2]) / math.hypot(*k) > 0.9]
     assert axial
-    for mode in axial:
-        assert abs(mode.polarization.z) <= 1e-12
+    for k in axial:
+        # the reference basis switches to the x axis here
+        for mode in modes(k, M_EMPTY, 1.0):
+            assert abs(mode.polarization.z) <= 1e-12
 
 
 def test_build_validation():
@@ -105,30 +140,34 @@ def test_empty_mode_set_rejected_by_summation():
 
 
 def test_single_axial_mode_bilinears():
-    # one hand-built mode: k along z, polarization along x, so
-    # B = n a yhat and E x B = n a^2 zhat with no cancellation partner
+    # one wavevector along z with no cancellation partner: its two modes
+    # give E x B = 2 n a^2 zhat, and since chi^T zhat = chi zhat = 0 for
+    # CHI_G the chi channels reduce to a^2 ax(chi) = a^2 (0, 0, 2e-4)
     n = M_COUPLED.index
-    amp = 0.5
     k0 = 0.25 * CUTOFF
-    ms = ModeSet((Mode(ZHAT.scale(k0), Vec3(1.0, 0.0, 0.0), amp),), CUTOFF, 1.0, 2)
+    a2 = 2.0 * math.pi * HBAR * C_LIGHT * k0 / n
+    ms = ModeSet(((0.0, 0.0, k0),), CUTOFF, 1.0, 2)
     bs = vacuum_bilinears(ms, M_COUPLED)
-    assert bs.mode_count == 1
-    assert bs.e_cross_b == Vec3(0.0, 0.0, amp * (n * amp))
-    assert bs.abs_e_cross_b == amp * (n * amp)
-    assert math.isclose(bs.zero_point_energy, 0.5 * HBAR * C_LIGHT * k0 / n, rel_tol=1e-15)
+    assert bs.mode_count == 2
+    assert bs.e_cross_b.x == 0.0 and bs.e_cross_b.y == 0.0
+    assert math.isclose(bs.e_cross_b.z, 2.0 * n * a2, rel_tol=1e-15)
+    assert math.isclose(bs.abs_e_cross_b, 2.0 * n * a2, rel_tol=1e-15)
+    assert math.isclose(bs.e_cross_chiT_e.z, a2 * 2e-4, rel_tol=1e-15)
+    assert math.isclose(bs.b_cross_chi_b.z, -n * n * a2 * 2e-4, rel_tol=1e-15)
+    assert math.isclose(bs.b_dot_chiT_e, n * a2 * 2e-4, rel_tol=1e-15)
+    assert math.isclose(bs.zero_point_energy, HBAR * C_LIGHT * k0 / n, rel_tol=1e-15)
+    assert_sums_match(bs, reference_bilinears(ms, M_COUPLED), M_COUPLED, a2)
 
 
 def test_per_mode_poynting_is_longitudinal():
     m = Material(1.7, 0.8, Mat3.zero(), 1.0)
-    n = m.index
     ms = build_mode_set(m, 4, CUTOFF, 1.0)
-    for mode in ms.modes:
-        khat = mode.k_vector.scale(1.0 / mode.k_vector.norm())
-        e = mode.polarization.scale(mode.amplitude)
-        b = cross(khat, mode.polarization).scale(n * mode.amplitude)
-        s = cross(e, b)
-        transverse = s - khat.scale(dot(s, khat))
-        assert transverse.norm() <= 1e-12 * s.norm()
+    for k in ms.wavevectors:
+        for mode in modes(k, m, 1.0):
+            khat = mode.khat
+            s = cross(mode.E, mode.B)
+            transverse = s - khat.scale(dot(s, khat))
+            assert transverse.norm() <= 1e-12 * s.norm()
 
 
 def test_regression_sums_trivial_medium():
@@ -174,37 +213,64 @@ def test_no_coupling_means_no_chi_channels():
 
 
 def test_polarization_basis_rotation_leaves_observables():
-    theta = 0.7
-    c, s = math.cos(theta), math.sin(theta)
+    # the explicit-basis sums agree at any basis angle, and with the
+    # library, which builds no basis
     ms = build_mode_set(M_COUPLED, 6, CUTOFF, 1.0)
-    rotated = []
-    for i in range(0, len(ms.modes), 2):
-        a, b = ms.modes[i], ms.modes[i + 1]
-        e1 = a.polarization.scale(c) + b.polarization.scale(s)
-        e2 = b.polarization.scale(c) - a.polarization.scale(s)
-        rotated.append(Mode(a.k_vector, e1, a.amplitude))
-        rotated.append(Mode(b.k_vector, e2, b.amplitude))
-    ms_rot = ModeSet(tuple(rotated), ms.cutoff, ms.volume, ms.grid_n)
-    base = vacuum_bilinears(ms, M_COUPLED)
-    rot = vacuum_bilinears(ms_rot, M_COUPLED)
-    assert math.isclose(rot.e_cross_chiT_e.z, base.e_cross_chiT_e.z, rel_tol=1e-12)
-    assert math.isclose(rot.b_cross_chi_b.z, base.b_cross_chi_b.z, rel_tol=1e-12)
-    assert math.isclose(rot.zero_point_energy, base.zero_point_energy, rel_tol=1e-12)
-    for name in (
-        "abs_e_cross_b",
-        "abs_e_cross_chiT_e",
-        "abs_b_cross_chi_b",
-        "abs_b_dot_chiT_e",
-    ):
-        assert math.isclose(getattr(rot, name), getattr(base, name), rel_tol=1e-12)
-    assert abs(rot.b_dot_chiT_e) <= 1e-12 * base.abs_b_dot_chiT_e
-    assert rot.e_cross_b.norm() <= 1e-12 * base.abs_e_cross_b
+    base = reference_bilinears(ms, M_COUPLED)
+    for rot in (reference_bilinears(ms, M_COUPLED, theta=0.7), vacuum_bilinears(ms, M_COUPLED)):
+        assert math.isclose(rot.e_cross_chiT_e.z, base.e_cross_chiT_e.z, rel_tol=1e-12)
+        assert math.isclose(rot.b_cross_chi_b.z, base.b_cross_chi_b.z, rel_tol=1e-12)
+        assert math.isclose(rot.zero_point_energy, base.zero_point_energy, rel_tol=1e-12)
+        for name in MAGNITUDE_CHANNELS:
+            assert math.isclose(getattr(rot, name), getattr(base, name), rel_tol=1e-12)
+        assert abs(rot.b_dot_chiT_e) <= 1e-12 * base.abs_b_dot_chiT_e
+        assert rot.e_cross_b.norm() <= 1e-12 * base.abs_e_cross_b
 
 
 def test_summation_is_deterministic():
     a = vacuum_bilinears(build_mode_set(M_COUPLED, 7, CUTOFF, 1.0), M_COUPLED)
     b = vacuum_bilinears(build_mode_set(M_COUPLED, 7, CUTOFF, 1.0), M_COUPLED)
     assert a == b
+
+
+def test_summation_is_order_independent():
+    ms = build_mode_set(M_GENERIC, 7, CUTOFF, 1.0)
+    reversed_ms = ModeSet(ms.wavevectors[::-1], ms.cutoff, ms.volume, ms.grid_n)
+    assert vacuum_bilinears(reversed_ms, M_GENERIC) == vacuum_bilinears(ms, M_GENERIC)
+
+
+_unit = st.floats(-1.0, 1.0)
+# entries below 1e-6 could push every chi channel into the subnormal
+# range, where no sum holds 1e-12 of its scale
+_chi_entry = _unit.filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+# general directions, and directions within the reference basis's
+# |khat_z| > 0.9 branch
+_direction = st.one_of(
+    st.tuples(_unit, _unit, _unit),
+    st.tuples(
+        st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.sampled_from((-1.0, 1.0))
+    ),
+).filter(lambda v: math.hypot(*v) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chi=st.lists(_chi_entry, min_size=9, max_size=9),
+    eps=st.floats(0.3, 4.0),
+    mu=st.floats(0.3, 4.0),
+    direction=_direction,
+    kmag=st.floats(1e3, 1e6),
+)
+@example(chi=[0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0], eps=2.25, mu=1.0,
+         direction=(0.0, 0.0, 1.0), kmag=CUTOFF)
+def test_closed_form_matches_polarization_sum(chi, eps, mu, direction, kmag):
+    m = Material(eps, mu, Mat3(*chi), 1.0)
+    norm = math.hypot(*direction)
+    k = tuple(kmag * c / norm for c in direction)
+    got = vacuum_bilinears(ModeSet((k,), kmag, 1.0, 2), m)
+    want = reference_bilinears(ModeSet((k,), kmag, 1.0, 2), m)
+    a2 = amplitude(math.hypot(*k), m, 1.0) ** 2
+    assert_sums_match(got, want, m, a2)
 
 
 def test_cutoff_sweep_validation():
