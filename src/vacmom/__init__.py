@@ -33,6 +33,7 @@ from .errors import (
     DegenerateProbe,
     DivisionDegenerate,
     EmptyModeSet,
+    NonFiniteResult,
     VacmomError,
 )
 from .lagrangian import (
@@ -89,6 +90,7 @@ __all__ = [
     "Mat3",
     "Material",
     "ModeSet",
+    "NonFiniteResult",
     "RunConfig",
     "SweepSpec",
     "TransformedConstants",

@@ -5,7 +5,8 @@ reads one JSON config file, writes CSV (default) or JSON to stdout and
 diagnostics to stderr, and uses the exit code contract
 
     0  success
-    2  configuration error (parse, schema, or value rejection)
+    2  configuration error (parse, schema, or value rejection, including
+       values whose results leave the float range)
     3  degenerate boost (1 + n beta <= 0)
     4  expansion-order verification failed (expand-check only)
     5  empty vacuum mode set
@@ -35,6 +36,7 @@ from .errors import (
     DegenerateBoost,
     DegenerateGrid,
     EmptyModeSet,
+    NonFiniteResult,
 )
 from .lagrangian import verify_expansion
 from .momentum import medium_velocity, term_ratio_of, velocity_from_bilinears
@@ -368,7 +370,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, DegenerateGrid) as exc:
+    except (ConfigError, DegenerateGrid, NonFiniteResult) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DegenerateBoost as exc:

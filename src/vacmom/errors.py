@@ -25,5 +25,9 @@ class EmptyModeSet(VacmomError):
     """No propagating modes survive the cutoff filter."""
 
 
+class NonFiniteResult(VacmomError):
+    """A finite input gave a result outside the float range."""
+
+
 class ConfigError(VacmomError):
     """Run configuration failed validation; message carries the field path."""

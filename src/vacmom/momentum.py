@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import BoostSpec, FieldState, Material, Vec3, cross, dot, mat_apply
 from .constants import C_LIGHT, FOUR_PI
-from .errors import DegenerateProbe, DivisionDegenerate
+from .errors import DegenerateProbe, DivisionDegenerate, NonFiniteResult
 from .lagrangian import vector_form_density
 
 _RATIO_FLOOR = 1e-300
@@ -59,6 +59,7 @@ def velocity_from_bilinears(
 
     Classical single-field evaluation and vacuum-expectation evaluation
     share this path; the bilinears are substituted term for term.
+    Raises NonFiniteResult if dividing by rho0 leaves the float range.
     """
     pref = 1.0 / (FOUR_PI * m.mu * C_LIGHT)
     n = m.index
@@ -67,7 +68,12 @@ def velocity_from_bilinears(
     chi_b = b_cross_chi_b.scale(-pref)
     mu_term_z = -pref * (n - 1.0 / n) * b_dot_chiT_e
     total = am + chi_e + chi_b + Vec3(0.0, 0.0, mu_term_z)
-    rhs = total.scale(1.0 / m.rho0)
+    try:
+        rhs = total.scale(1.0 / m.rho0)
+    except ValueError as exc:  # Vec3 rejects the non-finite components
+        raise NonFiniteResult(
+            f"velocity leaves the float range at rho0={m.rho0!r}"
+        ) from exc
     return VelocityResult(
         rhs_vector=rhs,
         v_z=rhs.z,

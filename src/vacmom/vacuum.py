@@ -3,10 +3,11 @@
 Wavevectors live on a cell-centered Cartesian grid: grid_n cells per
 axis tile [-cutoff, cutoff], each cell contributing its center, and the
 result is filtered to the sharp sphere |k| <= cutoff with k = 0 excluded.
-Cell centers come in exact +/-k floating point pairs, which the
-cancellation diagnostics rely on.
+Cell centers come in exact +/-k floating point pairs, and a ModeSet
+keeps one wavevector per pair: the member whose first nonzero
+coordinate is negative. Each pair stands for four modes.
 
-Each retained k stands for two transverse polarization modes with
+Each wavevector carries two transverse polarization modes with
 in-medium frequency omega = c |k| / n and zero-point amplitude a, where
 
     a^2 = 2 pi hbar omega / V = 2 pi hbar c |k| / (n V).
@@ -23,15 +24,21 @@ bilinear has a closed form per wavevector. With ax(chi) =
     B x (chi B)   = -n^2 a^2 (ax(chi) + khat x chi khat)
     B . chi^T E   =  n a^2 khat . ax(chi)
 
-Every channel is reduced with math.fsum, which is exactly rounded, so
-the sums do not depend on the order of the wavevectors and the terms of
-a +/-k pair that are exact negations cancel to exactly 0.0.
+E x B and B . chi^T E are odd in k. The terms of a pair are exact
+negations, so over the grid they sum to exactly 0.0, and the library
+returns 0.0 for them without computing any term. Every other channel,
+the two chi cross products, the magnitudes below and the zero-point
+energy, is even in k: its terms at k and -k are bitwise equal. It is
+summed over the kept wavevectors with math.fsum and doubled. fsum is
+exactly rounded and doubling is exact short of overflow, so this is
+bit for bit the fsum over the whole grid, whatever the order of the
+wavevectors. The doubling is applied to the sum and never to a factor
+of the terms, which would round differently where they are subnormal.
 
 Alongside the four signed sums we track per-wavevector magnitude
-channels (sum over k of |per-k polarization-summed bilinear|). The
-signed sums of odd-in-k quantities cancel over the symmetric grid by
-construction; the magnitude channels are what grows with the cutoff and
-what the scaling diagnostics fit.
+channels (sum over k of |per-k polarization-summed bilinear|). These
+are what grows with the cutoff and what the scaling diagnostics fit.
+A sum that leaves the float range raises NonFiniteResult.
 """
 
 from __future__ import annotations
@@ -40,10 +47,11 @@ import math
 import statistics
 from array import array
 from dataclasses import dataclass
+from itertools import chain, product
 
-from .algebra import Material, Vec3
+from .algebra import ZERO3, Material, Vec3
 from .constants import C_LIGHT, HBAR
-from .errors import EmptyModeSet
+from .errors import EmptyModeSet, NonFiniteResult
 
 MAGNITUDE_CHANNELS = (
     "abs_e_cross_b",
@@ -55,16 +63,22 @@ MAGNITUDE_CHANNELS = (
 
 @dataclass(frozen=True, slots=True)
 class ModeSet:
-    """Wavevectors (kx, ky, kz) in rad/cm, each carrying two modes."""
+    """One wavevector (kx, ky, kz) in rad/cm per +/-k pair of the grid.
 
-    wavevectors: tuple[tuple[float, float, float], ...]
+    Each pair stands for k and -k, two polarization modes each, so a
+    ModeSet counts four modes per entry of pairs. build_mode_set keeps
+    the member whose first nonzero coordinate is negative; the sums
+    treat any entry as standing for itself and its negation.
+    """
+
+    pairs: tuple[tuple[float, float, float], ...]
     cutoff: float
     volume: float
     grid_n: int
 
     @property
     def mode_count(self) -> int:
-        return 2 * len(self.wavevectors)
+        return 4 * len(self.pairs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,29 +122,36 @@ def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> Mo
     # is an exact multiple of 0.5 and IEEE negation commutes with the
     # final multiply
     coords = [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
-    # hypot neither underflows nor overflows where k.k would
-    wavevectors = tuple(
-        (kx, ky, kz)
-        for kx in coords
-        for ky in coords
-        for kz in coords
-        if 0.0 < math.hypot(kx, ky, kz) <= cutoff
+    # coords[grid_n - 1 - i] == -coords[i], so the cells whose first
+    # nonzero coordinate is negative hold one member of every pair; mid
+    # is the zero coordinate of an odd grid
+    neg = coords[: grid_n // 2]
+    mid = coords[grid_n // 2 : (grid_n + 1) // 2]
+    candidates = chain(
+        product(neg, coords, coords),
+        product(mid, neg, coords),
+        product(mid, mid, neg),
     )
-    if not wavevectors:
+    # hypot neither underflows nor overflows where k.k would
+    pairs = tuple(k for k in candidates if 0.0 < math.hypot(*k) <= cutoff)
+    if not pairs:
         raise EmptyModeSet(
             f"no modes survive cutoff={cutoff!r} with grid_n={grid_n!r}"
         )
-    return ModeSet(wavevectors, cutoff, volume, grid_n)
+    return ModeSet(pairs, cutoff, volume, grid_n)
 
 
-# per wavevector: e_cross_b (3), e_cross_chiT_e (3), b_cross_chi_b (3),
-# b_dot_chiT_e, the four magnitude channels and hbar c |k| / n
-_CHANNELS = 15
+# per kept wavevector, the channels that are even in k: e_cross_chiT_e
+# (3), b_cross_chi_b (3), the four magnitude channels and hbar c |k| / n
+_EVEN_CHANNELS = 11
 
 
 def vacuum_bilinears(ms: ModeSet, m: Material) -> BilinearSums:
-    """Sum the velocity-equation bilinears over all zero-point modes."""
-    if not ms.wavevectors:
+    """Sum the velocity-equation bilinears over all zero-point modes.
+
+    Raises NonFiniteResult if a sum leaves the float range.
+    """
+    if not ms.pairs:
         raise EmptyModeSet("mode set is empty")
     n = m.index
     (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
@@ -138,9 +159,10 @@ def vacuum_bilinears(ms: ModeSet, m: Material) -> BilinearSums:
     a2_per_k = 2.0 * math.pi * HBAR * C_LIGHT / (n * ms.volume)
     zpe_per_k = HBAR * C_LIGHT / n
 
-    # the channels of each wavevector, interleaved in the order above
+    # the even channels of each kept wavevector, interleaved in the order
+    # above
     terms = array("d")
-    for kx, ky, kz in ms.wavevectors:
+    for kx, ky, kz in ms.pairs:
         k = math.hypot(kx, ky, kz)
         ux, uy, uz = kx / k, ky / k, kz / k
         a2 = a2_per_k * k
@@ -152,7 +174,6 @@ def vacuum_bilinears(ms: ModeSet, m: Material) -> BilinearSums:
         sy = yx * ux + yy * uy + yz * uz
         sz = zx * ux + zy * uy + zz * uz
         two_na2 = 2.0 * n * a2
-        exb = (two_na2 * ux, two_na2 * uy, two_na2 * uz)
         exce = (
             a2 * (ax - (uy * tz - uz * ty)),
             a2 * (ay - (uz * tx - ux * tz)),
@@ -164,25 +185,41 @@ def vacuum_bilinears(ms: ModeSet, m: Material) -> BilinearSums:
             minus_n2a2 * (ay + (uz * sx - ux * sz)),
             minus_n2a2 * (az + (ux * sy - uy * sx)),
         )
-        bce = n * a2 * (ux * ax + uy * ay + uz * az)
         terms.extend((
-            *exb, *exce, *bxcb, bce,
-            math.hypot(*exb), math.hypot(*exce), math.hypot(*bxcb), abs(bce),
+            *exce, *bxcb,
+            math.hypot(two_na2 * ux, two_na2 * uy, two_na2 * uz),
+            math.hypot(*exce),
+            math.hypot(*bxcb),
+            abs(n * a2 * (ux * ax + uy * ay + uz * az)),
             zpe_per_k * k,
         ))
 
-    sums = [math.fsum(terms[i::_CHANNELS]) for i in range(_CHANNELS)]
+    # a non-finite odd term also makes its magnitude channel non-finite,
+    # so checking the even sums covers every channel
+    overflow = (
+        f"zero-point sums leave the float range at cutoff={ms.cutoff!r},"
+        f" volume={ms.volume!r}"
+    )
+    try:
+        sums = [
+            2.0 * math.fsum(terms[i::_EVEN_CHANNELS])
+            for i in range(_EVEN_CHANNELS)
+        ]
+    except (OverflowError, ValueError) as exc:  # overflow, or inf - inf
+        raise NonFiniteResult(overflow) from exc
+    if not all(map(math.isfinite, sums)):
+        raise NonFiniteResult(overflow)
     return BilinearSums(
-        e_cross_b=Vec3(*sums[0:3]),
-        e_cross_chiT_e=Vec3(*sums[3:6]),
-        b_cross_chi_b=Vec3(*sums[6:9]),
-        b_dot_chiT_e=sums[9],
-        abs_e_cross_b=sums[10],
-        abs_e_cross_chiT_e=sums[11],
-        abs_b_cross_chi_b=sums[12],
-        abs_b_dot_chiT_e=sums[13],
+        e_cross_b=ZERO3,
+        e_cross_chiT_e=Vec3(*sums[0:3]),
+        b_cross_chi_b=Vec3(*sums[3:6]),
+        b_dot_chiT_e=0.0,
+        abs_e_cross_b=sums[6],
+        abs_e_cross_chiT_e=sums[7],
+        abs_b_cross_chi_b=sums[8],
+        abs_b_dot_chiT_e=sums[9],
         mode_count=ms.mode_count,
-        zero_point_energy=sums[14],
+        zero_point_energy=sums[10],
     )
 
 
@@ -201,6 +238,10 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError("cutoffs must be sorted ascending")
     base = cuts[0]
+    if not math.isfinite(grid_n * cuts[-1] / base):
+        raise ValueError(
+            f"grid size grid_n * {cuts[-1]!r} / {base!r} overflows"
+        )
     out = []
     for c in cuts:
         scaled_n = max(2, round(grid_n * c / base))

@@ -6,9 +6,27 @@ calls (numpy default_rng, draw order epsilon, mu, chi, E, B), so the
 sampled configurations are reproducible byte for byte.
 """
 
+import os
+import pathlib
+
 import numpy as np
 
 from vacmom import FieldState, Mat3, Material, Vec3
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """The environment with the repository's src/ first on PYTHONPATH.
+
+    Subprocesses that import vacmom need it: pytest's pythonpath
+    setting reaches only the test process itself.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def draw_material(rng, eps_lo=0.3, eps_hi=4.0, chi_scale=0.5, rho0=1.0):

@@ -1,14 +1,20 @@
-"""Explicit polarization-basis reference for the vacuum bilinear sums.
+"""Explicit references for the vacuum bilinear sums.
 
-The library sums each bilinear per wavevector in closed form. This
-module keeps the direct construction those closed forms replace: two
-transverse unit polarizations per wavevector, per-mode fields E = a e
-and B = n a (khat x e) with a = sqrt(2 pi hbar omega / V), and every
-bilinear summed over the two modes. The tests compare the library
-against it.
+The library sums each bilinear per wavevector in closed form, over one
+wavevector per +/-k pair. This module keeps two references that walk
+both k and -k of every pair:
+
+- reference_bilinears, the direct construction the closed forms
+  replace: two transverse unit polarizations per wavevector, per-mode
+  fields E = a e and B = n a (khat x e) with a = sqrt(2 pi hbar omega / V),
+  and every bilinear summed over the two modes;
+- full_grid_closed_form, the closed forms of all 15 channels evaluated
+  at every wavevector of the full grid and reduced with math.fsum, which
+  the half-grid sums must equal bit for bit.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from vacmom import BilinearSums, Material, ModeSet, Vec3, XHAT, ZHAT, cross, dot, mat_apply
@@ -75,10 +81,32 @@ def wavevector_bilinears(k, m: Material, volume: float, theta: float = 0.0):
     return exb, exce, bxcb, bce
 
 
+def full_grid(ms: ModeSet):
+    """Both members k and -k of every pair of ms."""
+    for kx, ky, kz in ms.pairs:
+        yield kx, ky, kz
+        yield -kx, -ky, -kz
+
+
+def _bilinear_sums(sums, ms: ModeSet) -> BilinearSums:
+    return BilinearSums(
+        e_cross_b=Vec3(*sums[0:3]),
+        e_cross_chiT_e=Vec3(*sums[3:6]),
+        b_cross_chi_b=Vec3(*sums[6:9]),
+        b_dot_chiT_e=sums[9],
+        abs_e_cross_b=sums[10],
+        abs_e_cross_chiT_e=sums[11],
+        abs_b_cross_chi_b=sums[12],
+        abs_b_dot_chiT_e=sums[13],
+        mode_count=4 * len(ms.pairs),
+        zero_point_energy=sums[14],
+    )
+
+
 def reference_bilinears(ms: ModeSet, m: Material, theta: float = 0.0) -> BilinearSums:
     """vacuum_bilinears computed mode by mode in an explicit basis."""
     channels = [[] for _ in range(15)]
-    for k in ms.wavevectors:
+    for k in full_grid(ms):
         exb, exce, bxcb, bce = wavevector_bilinears(k, m, ms.volume, theta)
         kmag = Vec3(*k).norm()
         row = (
@@ -94,16 +122,49 @@ def reference_bilinears(ms: ModeSet, m: Material, theta: float = 0.0) -> Bilinea
         )
         for channel, value in zip(channels, row):
             channel.append(value)
-    sums = [math.fsum(channel) for channel in channels]
-    return BilinearSums(
-        e_cross_b=Vec3(*sums[0:3]),
-        e_cross_chiT_e=Vec3(*sums[3:6]),
-        b_cross_chi_b=Vec3(*sums[6:9]),
-        b_dot_chiT_e=sums[9],
-        abs_e_cross_b=sums[10],
-        abs_e_cross_chiT_e=sums[11],
-        abs_b_cross_chi_b=sums[12],
-        abs_b_dot_chiT_e=sums[13],
-        mode_count=2 * len(ms.wavevectors),
-        zero_point_energy=sums[14],
-    )
+    return _bilinear_sums([math.fsum(channel) for channel in channels], ms)
+
+
+def full_grid_closed_form(ms: ModeSet, m: Material) -> BilinearSums:
+    """The closed forms of all 15 channels summed over k and -k of every pair.
+
+    Odd channels are computed and summed like the others, so their
+    cancellation over the grid is measured, not assumed.
+    """
+    n = m.index
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    ax, ay, az = yz - zy, zx - xz, xy - yx
+    a2_per_k = 2.0 * math.pi * HBAR * C_LIGHT / (n * ms.volume)
+    zpe_per_k = HBAR * C_LIGHT / n
+    terms = array("d")
+    for kx, ky, kz in full_grid(ms):
+        k = math.hypot(kx, ky, kz)
+        ux, uy, uz = kx / k, ky / k, kz / k
+        a2 = a2_per_k * k
+        # chi^T khat and chi khat
+        tx = xx * ux + yx * uy + zx * uz
+        ty = xy * ux + yy * uy + zy * uz
+        tz = xz * ux + yz * uy + zz * uz
+        sx = xx * ux + xy * uy + xz * uz
+        sy = yx * ux + yy * uy + yz * uz
+        sz = zx * ux + zy * uy + zz * uz
+        two_na2 = 2.0 * n * a2
+        exb = (two_na2 * ux, two_na2 * uy, two_na2 * uz)
+        exce = (
+            a2 * (ax - (uy * tz - uz * ty)),
+            a2 * (ay - (uz * tx - ux * tz)),
+            a2 * (az - (ux * ty - uy * tx)),
+        )
+        minus_n2a2 = -n * n * a2
+        bxcb = (
+            minus_n2a2 * (ax + (uy * sz - uz * sy)),
+            minus_n2a2 * (ay + (uz * sx - ux * sz)),
+            minus_n2a2 * (az + (ux * sy - uy * sx)),
+        )
+        bce = n * a2 * (ux * ax + uy * ay + uz * az)
+        terms.extend((
+            *exb, *exce, *bxcb, bce,
+            math.hypot(*exb), math.hypot(*exce), math.hypot(*bxcb), abs(bce),
+            zpe_per_k * k,
+        ))
+    return _bilinear_sums([math.fsum(terms[i::15]) for i in range(15)], ms)

@@ -11,7 +11,7 @@ import math
 import subprocess
 import sys
 
-from conftest import draw_config, draw_fields, make_rng
+from conftest import draw_config, draw_fields, make_rng, src_env
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
     BoostSpec,
@@ -244,8 +244,8 @@ def test_cli_determinism(tmp_path):
         path.write_text(json.dumps(cfg))
         for fmt in ("csv", "json"):
             argv = [sys.executable, "-m", "vacmom", command, str(path), "--format", fmt]
-            first = subprocess.run(argv, capture_output=True, check=True)
-            second = subprocess.run(argv, capture_output=True, check=True)
+            first = subprocess.run(argv, capture_output=True, check=True, env=src_env())
+            second = subprocess.run(argv, capture_output=True, check=True, env=src_env())
             assert first.stdout == second.stdout, (command, fmt)
         payload = json.loads(first.stdout)
         echoed = json.dumps(payload["config"])

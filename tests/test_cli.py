@@ -367,6 +367,70 @@ def test_vacuum_sweep_extreme_cutoffs(tmp_path, capsys, cutoff):
     assert all(float(r["zero_point_energy"]) > 0.0 for r in rows)
 
 
+_TINY_RHO0 = dict(GOLDEN_MATERIAL, rho0=1e-320)
+
+
+@pytest.mark.parametrize(
+    "command, cfg, fields",
+    [
+        # a^2 overflows to inf per wavevector
+        (
+            "velocity",
+            {"vacuum": {"grid_n": 4, "cutoff": 1e200, "volume": 1e-300}},
+            ("cutoff", "volume"),
+        ),
+        (
+            "velocity",
+            {"vacuum": {"grid_n": 4, "cutoff": 1e150, "volume": 1e-300}},
+            ("cutoff", "volume"),
+        ),
+        # every term is finite, and so is the sum over one member of each
+        # +/-k pair, but twice that sum is not
+        (
+            "velocity",
+            {"vacuum": {"grid_n": 2, "cutoff": 1e23, "volume": 1e-300}},
+            ("cutoff", "volume"),
+        ),
+        # the scaled grid size grid_n * 1e300 / 1e-300 overflows
+        (
+            "vacuum-sweep",
+            {
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+                "sweep": {"parameter": "cutoff", "values": [1e-300, 1e300]},
+            },
+            ("sweep.values",),
+        ),
+        # 1 / rho0 overflows
+        ("velocity", {"material": _TINY_RHO0, "fields": CROSSED_FIELDS}, ("rho0",)),
+        (
+            "velocity",
+            {
+                "material": _TINY_RHO0,
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+            },
+            ("rho0",),
+        ),
+    ],
+    ids=[
+        "vacuum-1e200",
+        "vacuum-1e150",
+        "vacuum-doubled-sum",
+        "sweep-ratio",
+        "rho0-classical",
+        "rho0-vacuum",
+    ],
+)
+def test_non_finite_results_are_config_errors(tmp_path, capsys, command, cfg, fields):
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, **cfg})
+    rc, out, err = run_cli(capsys, [command, path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    for field in fields:
+        assert field in err
+
+
 def test_vacuum_sweep_rejects_fractional_grid(tmp_path, capsys):
     path = write_config(
         tmp_path,

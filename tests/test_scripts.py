@@ -1,28 +1,22 @@
 """The example scripts run to completion with their default arguments."""
 
-import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
 
 
 @pytest.mark.parametrize(
     "script", ["expansion_order_scan.py", "momentum_report.py", "vacuum_cutoff_scan.py"]
 )
 def test_script_runs_with_defaults(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr

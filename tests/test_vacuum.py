@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polarization_reference import (
     amplitude,
+    full_grid_closed_form,
     modes,
     reference_bilinears,
 )
@@ -61,27 +62,45 @@ def assert_sums_match(got, want, m, a2):
 
 def test_minimal_grid_geometry():
     ms = build_mode_set(M_EMPTY, 2, CUTOFF, 1.0)
-    # 8 octant cell centers, all inside the sphere, two polarizations each
-    assert len(ms.wavevectors) == 8
+    # 8 octant cell centers, all inside the sphere, in 4 +/-k pairs of
+    # two polarizations each
+    assert len(ms.pairs) == 4
     assert ms.mode_count == 16
-    kmags = {math.hypot(*k) for k in ms.wavevectors}
+    kmags = {math.hypot(*k) for k in ms.pairs}
     assert len(kmags) == 1
     (kmag,) = kmags
     assert math.isclose(kmag, math.sqrt(3.0) / 2.0 * CUTOFF, rel_tol=1e-15)
 
 
 def test_wavevectors_come_in_exact_opposite_pairs():
-    ms = build_mode_set(M_COUPLED, 5, CUTOFF, 1.0)
-    kset = set(ms.wavevectors)
-    for kx, ky, kz in kset:
-        assert (-kx, -ky, -kz) in kset
+    for grid_n in (4, 5):
+        ms = build_mode_set(M_COUPLED, grid_n, CUTOFF, 1.0)
+        kset = set(ms.pairs)
+        negated = {(-kx, -ky, -kz) for kx, ky, kz in kset}
+        # no pair holds both k and -k
+        assert not kset & negated
+        for k in kset:
+            first = next(c for c in k if c != 0.0)
+            assert first < 0.0
+        # the kept members and their negations make up the filtered grid
+        step = 2.0 * CUTOFF / grid_n
+        coords = [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
+        grid = {
+            (kx, ky, kz)
+            for kx in coords
+            for ky in coords
+            for kz in coords
+            if 0.0 < math.hypot(kx, ky, kz) <= CUTOFF
+        }
+        assert kset | negated == grid
 
 
 def test_modes_are_grouped_by_wavevector():
-    # two polarization modes per wavevector, each wavevector listed once
+    # two polarization modes at each of k and -k per pair, each pair
+    # listed once
     ms = build_mode_set(M_COUPLED, 4, CUTOFF, 1.0)
-    assert ms.mode_count == 2 * len(ms.wavevectors)
-    assert len(set(ms.wavevectors)) == len(ms.wavevectors)
+    assert ms.mode_count == 4 * len(ms.pairs)
+    assert len(set(ms.pairs)) == len(ms.pairs)
     assert vacuum_bilinears(ms, M_COUPLED).mode_count == ms.mode_count
 
 
@@ -90,7 +109,7 @@ def test_mode_invariants():
     n = m.index
     volume = 3.0
     ms = build_mode_set(m, 4, CUTOFF, volume)
-    for k in ms.wavevectors:
+    for k in ms.pairs:
         kmag = math.hypot(*k)
         assert kmag <= CUTOFF
         assert kmag > 0.0
@@ -103,18 +122,20 @@ def test_mode_invariants():
             assert abs(dot(e, khat)) <= 1e-12
             assert math.isclose(mode.amplitude, want_amp, rel_tol=1e-12)
         assert abs(dot(pair[0].polarization, pair[1].polarization)) <= 1e-12
-        # the library's per-k E x B carries the same amplitude: 2 n a^2
+        # the library's |E x B| carries the same amplitude: 2 n a^2 at
+        # each of k and -k
         single = vacuum_bilinears(ModeSet((k,), CUTOFF, volume, 4), m)
-        assert math.isclose(single.abs_e_cross_b, 2.0 * n * want_amp**2, rel_tol=1e-12)
+        assert math.isclose(single.abs_e_cross_b, 4.0 * n * want_amp**2, rel_tol=1e-12)
 
 
 def test_odd_grid_excludes_origin_and_covers_axial_reference_branch():
     ms = build_mode_set(M_EMPTY, 3, CUTOFF, 1.0)
     # 27 centers, minus the origin, minus the 8 corner diagonals outside
-    # the sphere, leaves 18 wavevectors
+    # the sphere, leaves 18 wavevectors in 9 pairs
+    assert len(ms.pairs) == 9
     assert ms.mode_count == 36
-    assert all(math.hypot(*k) > 0.0 for k in ms.wavevectors)
-    axial = [k for k in ms.wavevectors if abs(k[2]) / math.hypot(*k) > 0.9]
+    assert all(math.hypot(*k) > 0.0 for k in ms.pairs)
+    axial = [k for k in ms.pairs if abs(k[2]) / math.hypot(*k) > 0.9]
     assert axial
     for k in axial:
         # the reference basis switches to the x axis here
@@ -140,29 +161,30 @@ def test_empty_mode_set_rejected_by_summation():
 
 
 def test_single_axial_mode_bilinears():
-    # one wavevector along z with no cancellation partner: its two modes
-    # give E x B = 2 n a^2 zhat, and since chi^T zhat = chi zhat = 0 for
-    # CHI_G the chi channels reduce to a^2 ax(chi) = a^2 (0, 0, 2e-4)
+    # one pair along z: at each of k and -k the two modes give
+    # |E x B| = 2 n a^2, and since chi^T zhat = chi zhat = 0 for CHI_G
+    # the chi channels reduce to a^2 ax(chi) = a^2 (0, 0, 2e-4) each;
+    # the odd channels E x B and B . chi^T E cancel within the pair
     n = M_COUPLED.index
     k0 = 0.25 * CUTOFF
     a2 = 2.0 * math.pi * HBAR * C_LIGHT * k0 / n
     ms = ModeSet(((0.0, 0.0, k0),), CUTOFF, 1.0, 2)
     bs = vacuum_bilinears(ms, M_COUPLED)
-    assert bs.mode_count == 2
-    assert bs.e_cross_b.x == 0.0 and bs.e_cross_b.y == 0.0
-    assert math.isclose(bs.e_cross_b.z, 2.0 * n * a2, rel_tol=1e-15)
-    assert math.isclose(bs.abs_e_cross_b, 2.0 * n * a2, rel_tol=1e-15)
-    assert math.isclose(bs.e_cross_chiT_e.z, a2 * 2e-4, rel_tol=1e-15)
-    assert math.isclose(bs.b_cross_chi_b.z, -n * n * a2 * 2e-4, rel_tol=1e-15)
-    assert math.isclose(bs.b_dot_chiT_e, n * a2 * 2e-4, rel_tol=1e-15)
-    assert math.isclose(bs.zero_point_energy, HBAR * C_LIGHT * k0 / n, rel_tol=1e-15)
+    assert bs.mode_count == 4
+    assert bs.e_cross_b == Vec3(0.0, 0.0, 0.0)
+    assert bs.b_dot_chiT_e == 0.0
+    assert math.isclose(bs.abs_e_cross_b, 2.0 * 2.0 * n * a2, rel_tol=1e-15)
+    assert math.isclose(bs.e_cross_chiT_e.z, 2.0 * a2 * 2e-4, rel_tol=1e-15)
+    assert math.isclose(bs.b_cross_chi_b.z, 2.0 * -n * n * a2 * 2e-4, rel_tol=1e-15)
+    assert math.isclose(bs.abs_b_dot_chiT_e, 2.0 * n * a2 * 2e-4, rel_tol=1e-15)
+    assert math.isclose(bs.zero_point_energy, 2.0 * HBAR * C_LIGHT * k0 / n, rel_tol=1e-15)
     assert_sums_match(bs, reference_bilinears(ms, M_COUPLED), M_COUPLED, a2)
 
 
 def test_per_mode_poynting_is_longitudinal():
     m = Material(1.7, 0.8, Mat3.zero(), 1.0)
     ms = build_mode_set(m, 4, CUTOFF, 1.0)
-    for k in ms.wavevectors:
+    for k in ms.pairs:
         for mode in modes(k, m, 1.0):
             khat = mode.khat
             s = cross(mode.E, mode.B)
@@ -235,8 +257,25 @@ def test_summation_is_deterministic():
 
 def test_summation_is_order_independent():
     ms = build_mode_set(M_GENERIC, 7, CUTOFF, 1.0)
-    reversed_ms = ModeSet(ms.wavevectors[::-1], ms.cutoff, ms.volume, ms.grid_n)
+    reversed_ms = ModeSet(ms.pairs[::-1], ms.cutoff, ms.volume, ms.grid_n)
     assert vacuum_bilinears(reversed_ms, M_GENERIC) == vacuum_bilinears(ms, M_GENERIC)
+
+
+@pytest.mark.parametrize("cutoff", [1e-300, CUTOFF, 1e300])
+@pytest.mark.parametrize("m", [M_EMPTY, M_COUPLED, M_GENERIC], ids=["empty", "coupled", "generic"])
+@pytest.mark.parametrize("grid_n", [2, 3, 4, 5, 7, 8, 16, 17])
+def test_half_grid_sums_equal_full_grid_bitwise(grid_n, m, cutoff):
+    # at cutoff 1e-300 the terms are subnormal, where doubling a factor
+    # of them instead of their sum would round differently
+    ms = build_mode_set(m, grid_n, cutoff, 1.0)
+    got = vacuum_bilinears(ms, m)
+    want = full_grid_closed_form(ms, m)
+    assert got == want
+    # repr tells -0.0 from 0.0, which the CSV output would print
+    assert repr(got) == repr(want)
+    # the odd channels cancel exactly over the full grid
+    assert want.e_cross_b.as_tuple() == (0.0, 0.0, 0.0)
+    assert want.b_dot_chiT_e == 0.0
 
 
 _unit = st.floats(-1.0, 1.0)
