@@ -61,6 +61,7 @@ from .relativity import (
 )
 from .vacuum import (
     MAGNITUDE_CHANNELS,
+    MAX_GRID_N,
     BilinearSums,
     ModeSet,
     build_mode_set,
@@ -87,6 +88,7 @@ __all__ = [
     "HBAR",
     "LagrangianBreakdown",
     "MAGNITUDE_CHANNELS",
+    "MAX_GRID_N",
     "Mat3",
     "Material",
     "ModeSet",

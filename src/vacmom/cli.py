@@ -43,6 +43,7 @@ from .momentum import medium_velocity, term_ratio_of, velocity_from_bilinears
 from .relativity import index_of, transform_constants
 from .vacuum import (
     MAGNITUDE_CHANNELS,
+    MAX_GRID_N,
     build_mode_set,
     cutoff_sweep,
     scaling_slopes,
@@ -188,7 +189,7 @@ def cmd_velocity(cfg: RunConfig, args) -> int:
     m = cfg.material
     if cfg.vacuum is not None:
         ms = build_mode_set(m, cfg.vacuum.grid_n, cfg.vacuum.cutoff, cfg.vacuum.volume)
-        sums = vacuum_bilinears(ms, m)
+        sums = vacuum_bilinears(ms, m, magnitudes=False)
         vr = velocity_from_bilinears(
             m,
             e_cross_b=sums.e_cross_b,
@@ -258,10 +259,16 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
         slopes = scaling_slopes(entries)
         labelled = [(c, s) for c, s in entries]
     elif sweep.parameter == "grid_n":
+        # every value is checked before any grid is built; the range test
+        # comes first, so int() never meets inf or nan
+        for v in sweep.values:
+            if not (2 <= v <= MAX_GRID_N and v == int(v)):
+                raise ConfigError(
+                    "sweep.values: grid_n must be an integer in"
+                    f" [2, MAX_GRID_N={MAX_GRID_N}], got {v!r}"
+                )
         labelled = []
         for v in sweep.values:
-            if v != int(v):
-                raise ConfigError(f"sweep.values: grid_n must be integral, got {v!r}")
             ms = build_mode_set(m, int(v), vac.cutoff, vac.volume)
             labelled.append((int(v), vacuum_bilinears(ms, m)))
         slopes = dict.fromkeys(MAGNITUDE_CHANNELS)

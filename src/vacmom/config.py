@@ -14,6 +14,7 @@ from numbers import Real
 
 from .algebra import BoostSpec, FieldState, Mat3, Material, Vec3
 from .errors import ConfigError
+from .vacuum import MAX_GRID_N
 
 _SWEEP_PARAMETERS = ("beta", "cutoff", "grid_n")
 
@@ -116,8 +117,10 @@ def _parse_vacuum(node, path) -> VacuumSpec:
     grid_n = _integer(_require(node, "grid_n", path), f"{path}.grid_n")
     cutoff = _number(_require(node, "cutoff", path), f"{path}.cutoff")
     volume = _number(_require(node, "volume", path), f"{path}.volume")
-    if grid_n < 2:
-        raise ConfigError(f"{path}.grid_n: must be >= 2, got {grid_n}")
+    if not 2 <= grid_n <= MAX_GRID_N:
+        raise ConfigError(
+            f"{path}.grid_n: must lie in [2, MAX_GRID_N={MAX_GRID_N}], got {grid_n}"
+        )
     if not cutoff > 0.0:
         raise ConfigError(f"{path}.cutoff: must be > 0, got {cutoff!r}")
     if not volume > 0.0:

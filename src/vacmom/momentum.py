@@ -19,6 +19,8 @@ derivation of the underlying Lagrangian.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .algebra import BoostSpec, FieldState, Material, Vec3, cross, dot, mat_apply
@@ -59,15 +61,22 @@ def velocity_from_bilinears(
 
     Classical single-field evaluation and vacuum-expectation evaluation
     share this path; the bilinears are substituted term for term.
-    Raises NonFiniteResult if dividing by rho0 leaves the float range.
+    Raises NonFiniteResult if a term (for instance at huge epsilon and
+    mu) or the division by rho0 leaves the float range.
     """
     pref = 1.0 / (FOUR_PI * m.mu * C_LIGHT)
     n = m.index
-    am = e_cross_b.scale(pref * (m.epsilon * m.mu - 1.0))
-    chi_e = e_cross_chiT_e.scale(pref)
-    chi_b = b_cross_chi_b.scale(-pref)
-    mu_term_z = -pref * (n - 1.0 / n) * b_dot_chiT_e
-    total = am + chi_e + chi_b + Vec3(0.0, 0.0, mu_term_z)
+    try:
+        am = e_cross_b.scale(pref * (m.epsilon * m.mu - 1.0))
+        chi_e = e_cross_chiT_e.scale(pref)
+        chi_b = b_cross_chi_b.scale(-pref)
+        mu_term_z = -pref * (n - 1.0 / n) * b_dot_chiT_e
+        total = am + chi_e + chi_b + Vec3(0.0, 0.0, mu_term_z)
+    except ValueError as exc:  # Vec3 rejects the non-finite components
+        raise NonFiniteResult(
+            f"velocity terms leave the float range at epsilon={m.epsilon!r},"
+            f" mu={m.mu!r}"
+        ) from exc
     try:
         rhs = total.scale(1.0 / m.rho0)
     except ValueError as exc:  # Vec3 rejects the non-finite components
@@ -81,19 +90,47 @@ def velocity_from_bilinears(
         chi_E_term=chi_e,
         chi_B_term=chi_b,
         mu_term_z=mu_term_z,
-        transverse_residual=(rhs.x * rhs.x + rhs.y * rhs.y) ** 0.5,
+        transverse_residual=_transverse_norm(rhs.x, rhs.y),
     )
 
 
+def _transverse_norm(x: float, y: float) -> float:
+    """sqrt(x^2 + y^2), with math.hypot only where the squares misbehave.
+
+    The plain formula is kept wherever x^2 + y^2 is a normal float, so
+    those results stay bit for bit what they always were; hypot takes
+    over where the sum overflows or falls below the normal range.
+    """
+    s = x * x + y * y
+    if sys.float_info.min <= s < math.inf:
+        return s**0.5
+    return math.hypot(x, y)
+
+
 def medium_velocity(m: Material, f: FieldState) -> VelocityResult:
-    """Velocity equation for a single classical field configuration."""
+    """Velocity equation for a single classical field configuration.
+
+    Raises NonFiniteResult if a field bilinear leaves the float range.
+    """
     chi_t = m.chi.transpose()
+    try:
+        e_cross_b = cross(f.E, f.B)
+        e_cross_chiT_e = cross(f.E, mat_apply(chi_t, f.E))
+        b_cross_chi_b = cross(f.B, mat_apply(m.chi, f.B))
+        b_dot_chiT_e = dot(f.B, mat_apply(chi_t, f.E))
+        if not math.isfinite(b_dot_chiT_e):
+            raise ValueError(f"B . chi^T E must be finite, got {b_dot_chiT_e!r}")
+    except ValueError as exc:  # Vec3 rejects the non-finite components
+        raise NonFiniteResult(
+            "field bilinears leave the float range at"
+            f" fields.E={list(f.E.as_tuple())!r}, fields.B={list(f.B.as_tuple())!r}"
+        ) from exc
     return velocity_from_bilinears(
         m,
-        e_cross_b=cross(f.E, f.B),
-        e_cross_chiT_e=cross(f.E, mat_apply(chi_t, f.E)),
-        b_cross_chi_b=cross(f.B, mat_apply(m.chi, f.B)),
-        b_dot_chiT_e=dot(f.B, mat_apply(chi_t, f.E)),
+        e_cross_b=e_cross_b,
+        e_cross_chiT_e=e_cross_chiT_e,
+        b_cross_chi_b=b_cross_chi_b,
+        b_dot_chiT_e=b_dot_chiT_e,
     )
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: schema rejection, outputs, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,8 @@ import math
 import pytest
 
 import vacmom.cli as cli
-from vacmom import EmptyModeSet, parse_config
+import vacmom.vacuum as vacuum
+from vacmom import MAX_GRID_N, EmptyModeSet, Vec3, parse_config
 from vacmom.config import config_to_dict, load_config
 
 GOLDEN_MATERIAL = {
@@ -368,6 +370,7 @@ def test_vacuum_sweep_extreme_cutoffs(tmp_path, capsys, cutoff):
 
 
 _TINY_RHO0 = dict(GOLDEN_MATERIAL, rho0=1e-320)
+_UNIT_CHI = dict(GOLDEN_MATERIAL, chi=[0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -385,10 +388,24 @@ _TINY_RHO0 = dict(GOLDEN_MATERIAL, rho0=1e-320)
             ("cutoff", "volume"),
         ),
         # every term is finite, and so is the sum over one member of each
-        # +/-k pair, but twice that sum is not
+        # +/-k pair, but twice that sum is not: here a magnitude channel,
+        # which only vacuum-sweep computes
+        (
+            "vacuum-sweep",
+            {
+                "vacuum": {"grid_n": 2, "cutoff": 1e23, "volume": 1e-300},
+                "sweep": {"parameter": "grid_n", "values": [2]},
+            },
+            ("cutoff", "volume"),
+        ),
+        # the same grid with a chi of order 1: twice the B x chi B sum,
+        # which velocity reads, overflows
         (
             "velocity",
-            {"vacuum": {"grid_n": 2, "cutoff": 1e23, "volume": 1e-300}},
+            {
+                "material": _UNIT_CHI,
+                "vacuum": {"grid_n": 2, "cutoff": 1e23, "volume": 1e-300},
+            },
             ("cutoff", "volume"),
         ),
         # the scaled grid size grid_n * 1e300 / 1e-300 overflows
@@ -410,14 +427,32 @@ _TINY_RHO0 = dict(GOLDEN_MATERIAL, rho0=1e-320)
             },
             ("rho0",),
         ),
+        # E x B overflows
+        (
+            "velocity",
+            {"fields": {"E": [1e200, 0.0, 0.0], "B": [0.0, 1e200, 0.0]}},
+            ("fields.E", "fields.B"),
+        ),
+        # epsilon mu overflows and 1 / (4 pi mu c) underflows to 0
+        (
+            "velocity",
+            {
+                "material": dict(GOLDEN_MATERIAL, epsilon=1e308, mu=1e308),
+                "fields": CROSSED_FIELDS,
+            },
+            ("epsilon", "mu"),
+        ),
     ],
     ids=[
         "vacuum-1e200",
         "vacuum-1e150",
         "vacuum-doubled-sum",
+        "velocity-doubled-chi-sum",
         "sweep-ratio",
         "rho0-classical",
         "rho0-vacuum",
+        "fields-overflow",
+        "epsilon-mu-overflow",
     ],
 )
 def test_non_finite_results_are_config_errors(tmp_path, capsys, command, cfg, fields):
@@ -429,6 +464,115 @@ def test_non_finite_results_are_config_errors(tmp_path, capsys, command, cfg, fi
     assert "Traceback" not in err
     for field in fields:
         assert field in err
+
+
+def test_velocity_skips_the_magnitude_channels(tmp_path, capsys):
+    # the vacuum-doubled-sum grid: only a magnitude channel overflows,
+    # and velocity prints none of them
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 2, "cutoff": 1e23, "volume": 1e-300},
+        },
+    )
+    rc, out, err = run_cli(capsys, ["velocity", path])
+    assert rc == 0, err
+    (row,) = read_rows(out)
+    assert all(math.isfinite(float(v)) for v in row.values())
+    assert 1e293 < float(row["v_z"]) < 1.1e293
+
+
+def test_velocity_bytes_see_one_ulp_of_the_chi_sums(tmp_path, capsys, monkeypatch):
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 8, "cutoff": 1e5, "volume": 1.0},
+        },
+    )
+    rc, before, _ = run_cli(capsys, ["velocity", path])
+    assert rc == 0
+    original = cli.vacuum_bilinears
+
+    def up(v):
+        return Vec3(*(math.nextafter(c, math.inf) for c in v.as_tuple()))
+
+    def bumped(*args, **kwargs):
+        sums = original(*args, **kwargs)
+        return dataclasses.replace(
+            sums,
+            e_cross_chiT_e=up(sums.e_cross_chiT_e),
+            b_cross_chi_b=up(sums.b_cross_chi_b),
+        )
+
+    monkeypatch.setattr(cli, "vacuum_bilinears", bumped)
+    rc, after, _ = run_cli(capsys, ["velocity", path])
+    assert rc == 0
+    assert after != before
+
+
+@pytest.mark.parametrize("scale", [1e85, 1e-80])
+def test_transverse_residual_survives_extreme_fields(tmp_path, capsys, scale):
+    # the squares of v_y ~ 3e158 overflow and those of v_y ~ 3e-172
+    # underflow
+    fields = {"E": [scale, 0.0, 0.0], "B": [0.0, 0.0, scale]}
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, "fields": fields})
+    rc, out, err = run_cli(capsys, ["velocity", path])
+    assert rc == 0, err
+    (row,) = read_rows(out)
+    assert float(row["v_x"]) == 0.0
+    v_y = float(row["v_y"])
+    assert math.isfinite(v_y) and v_y != 0.0
+    assert float(row["transverse_residual"]) == abs(v_y)
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("velocity", {"vacuum": {"grid_n": MAX_GRID_N + 1, "cutoff": 1e5, "volume": 1.0}}),
+        (
+            "vacuum-sweep",
+            {
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+                "sweep": {"parameter": "grid_n", "values": [4, MAX_GRID_N + 1]},
+            },
+        ),
+        (
+            "vacuum-sweep",
+            {
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+                "sweep": {"parameter": "grid_n", "values": [4, math.inf]},
+            },
+        ),
+        # the scaled grid of the last cutoff would be 4,000,000 cells a side
+        (
+            "vacuum-sweep",
+            {
+                "vacuum": {"grid_n": 4, "cutoff": 1.0, "volume": 1.0},
+                "sweep": {"parameter": "cutoff", "values": [1.0, 1e6]},
+            },
+        ),
+    ],
+    ids=["vacuum-grid_n", "grid_n-sweep", "grid_n-sweep-inf", "cutoff-sweep"],
+)
+def test_grid_ceiling_is_config_error(tmp_path, capsys, monkeypatch, command, cfg):
+    built = []
+
+    def record(m, grid_n, cutoff, volume):
+        # stand-in that builds nothing: an oversized grid would never finish
+        built.append(grid_n)
+        raise EmptyModeSet("not built in this test")
+
+    monkeypatch.setattr(cli, "build_mode_set", record)
+    monkeypatch.setattr(vacuum, "build_mode_set", record)
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, **cfg})
+    rc, out, err = run_cli(capsys, [command, path])
+    assert built == []
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "MAX_GRID_N" in err
 
 
 def test_vacuum_sweep_rejects_fractional_grid(tmp_path, capsys):

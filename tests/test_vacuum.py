@@ -15,6 +15,7 @@ from polarization_reference import (
 from vacmom.constants import C_LIGHT, HBAR
 from vacmom import (
     MAGNITUDE_CHANNELS,
+    MAX_GRID_N,
     EmptyModeSet,
     Mat3,
     Material,
@@ -152,6 +153,8 @@ def test_build_validation():
         build_mode_set(M_EMPTY, 4, -1e5, 1.0)
     with pytest.raises(ValueError):
         build_mode_set(M_EMPTY, 4, CUTOFF, 0.0)
+    with pytest.raises(ValueError, match="MAX_GRID_N"):
+        build_mode_set(M_EMPTY, MAX_GRID_N + 1, CUTOFF, 1.0)
 
 
 def test_empty_mode_set_rejected_by_summation():
@@ -276,6 +279,14 @@ def test_half_grid_sums_equal_full_grid_bitwise(grid_n, m, cutoff):
     # the odd channels cancel exactly over the full grid
     assert want.e_cross_b.as_tuple() == (0.0, 0.0, 0.0)
     assert want.b_dot_chiT_e == 0.0
+    # the signed sums alone are the same bits, and nothing else is summed
+    fast = vacuum_bilinears(ms, m, magnitudes=False)
+    for name in ("e_cross_b", "e_cross_chiT_e", "b_cross_chi_b", "b_dot_chiT_e"):
+        assert getattr(fast, name) == getattr(got, name), name
+        assert repr(getattr(fast, name)) == repr(getattr(got, name)), name
+    for name in (*MAGNITUDE_CHANNELS, "zero_point_energy"):
+        assert getattr(fast, name) is None, name
+    assert fast.mode_count == got.mode_count
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -310,6 +321,38 @@ def test_closed_form_matches_polarization_sum(chi, eps, mu, direction, kmag):
     want = reference_bilinears(ModeSet((k,), kmag, 1.0, 2), m)
     a2 = amplitude(math.hypot(*k), m, 1.0) ** 2
     assert_sums_match(got, want, m, a2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chi=st.lists(_chi_entry, min_size=9, max_size=9),
+    eps=st.floats(0.3, 4.0),
+    mu=st.floats(0.3, 4.0),
+    grid_n=st.integers(2, 13),
+    volume=st.floats(0.1, 10.0),
+)
+@example(chi=[0.3, -0.2, 0.7, 0.1, -0.5, 0.4, -0.6, 0.9, 0.2], eps=2.25, mu=1.3,
+         grid_n=8, volume=1.0)
+@example(chi=[0.3, -0.2, 0.7, 0.1, -0.5, 0.4, -0.6, 0.9, 0.2], eps=2.25, mu=1.3,
+         grid_n=9, volume=1.0)
+def test_signed_sums_follow_the_two_thirds_law(chi, eps, mu, grid_n, volume):
+    # the grid is symmetric under axis permutations and reflections, so
+    # sum_k a^2 khat khat^T = (S/3) I with S = sum_k a^2 = (2 pi / V) ZPE;
+    # only the antisymmetric part of chi survives the sums
+    m = Material(eps, mu, Mat3(*chi), 1.0)
+    ms = build_mode_set(m, grid_n, CUTOFF, volume)
+    s = 2.0 * math.pi / volume * vacuum_bilinears(ms, m).zero_point_energy
+    fast = vacuum_bilinears(ms, m, magnitudes=False)
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    ax_chi = (yz - zy, zx - xz, xy - yx)
+    # rounding in the terms scales with chi as a whole, not with ax(chi)
+    tol = 1e-12 * s * max(map(abs, chi))
+    n2 = m.index**2
+    for got_e, got_b, a in zip(
+        fast.e_cross_chiT_e.as_tuple(), fast.b_cross_chi_b.as_tuple(), ax_chi
+    ):
+        assert abs(got_e - 2.0 / 3.0 * s * a) <= tol
+        assert abs(got_b + 2.0 / 3.0 * n2 * s * a) <= n2 * tol
 
 
 def test_cutoff_sweep_validation():
