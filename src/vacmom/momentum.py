@@ -62,10 +62,16 @@ def velocity_from_bilinears(
     Classical single-field evaluation and vacuum-expectation evaluation
     share this path; the bilinears are substituted term for term.
     Raises NonFiniteResult if a term (for instance at huge epsilon and
-    mu) or the division by rho0 leaves the float range.
+    mu) or the division by rho0 leaves the float range, or if
+    epsilon mu underflows to 0, which leaves 1/n undefined.
     """
     pref = 1.0 / (FOUR_PI * m.mu * C_LIGHT)
     n = m.index
+    if n == 0.0:
+        raise NonFiniteResult(
+            "the index n = sqrt(epsilon mu) underflows to 0 at"
+            f" epsilon={m.epsilon!r}, mu={m.mu!r}"
+        )
     try:
         am = e_cross_b.scale(pref * (m.epsilon * m.mu - 1.0))
         chi_e = e_cross_chiT_e.scale(pref)

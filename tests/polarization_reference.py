@@ -1,16 +1,17 @@
 """Explicit references for the vacuum bilinear sums.
 
 The library sums each bilinear per wavevector in closed form, over one
-wavevector per +/-k pair. This module keeps two references that walk
-both k and -k of every pair:
+orbit of +/-k pairs per entry of a ModeSet. This module keeps two
+references that walk every wavevector one by one:
 
 - reference_bilinears, the direct construction the closed forms
   replace: two transverse unit polarizations per wavevector, per-mode
   fields E = a e and B = n a (khat x e) with a = sqrt(2 pi hbar omega / V),
-  and every bilinear summed over the two modes;
+  and every bilinear summed over the two modes, at k and -k of every
+  pair of a ModeSet;
 - full_grid_closed_form, the closed forms of all 15 channels evaluated
-  at every wavevector of the full grid and reduced with math.fsum, which
-  the half-grid sums must equal bit for bit.
+  at every wavevector of a grid built here by cell_centres, and reduced
+  with math.fsum, which the library's sums must equal bit for bit.
 """
 
 import math
@@ -88,7 +89,20 @@ def full_grid(ms: ModeSet):
         yield -kx, -ky, -kz
 
 
-def _bilinear_sums(sums, ms: ModeSet) -> BilinearSums:
+def cell_centres(grid_n: int, cutoff: float) -> list[tuple[float, float, float]]:
+    """Every wavevector of the grid: the cell centres with 0 < |k| <= cutoff."""
+    step = 2.0 * cutoff / grid_n
+    coords = [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
+    return [
+        (kx, ky, kz)
+        for kx in coords
+        for ky in coords
+        for kz in coords
+        if 0.0 < math.hypot(kx, ky, kz) <= cutoff
+    ]
+
+
+def _bilinear_sums(sums, wavevector_count: int) -> BilinearSums:
     return BilinearSums(
         e_cross_b=Vec3(*sums[0:3]),
         e_cross_chiT_e=Vec3(*sums[3:6]),
@@ -98,7 +112,7 @@ def _bilinear_sums(sums, ms: ModeSet) -> BilinearSums:
         abs_e_cross_chiT_e=sums[11],
         abs_b_cross_chi_b=sums[12],
         abs_b_dot_chiT_e=sums[13],
-        mode_count=4 * len(ms.pairs),
+        mode_count=2 * wavevector_count,
         zero_point_energy=sums[14],
     )
 
@@ -106,7 +120,8 @@ def _bilinear_sums(sums, ms: ModeSet) -> BilinearSums:
 def reference_bilinears(ms: ModeSet, m: Material, theta: float = 0.0) -> BilinearSums:
     """vacuum_bilinears computed mode by mode in an explicit basis."""
     channels = [[] for _ in range(15)]
-    for k in full_grid(ms):
+    wavevectors = list(full_grid(ms))
+    for k in wavevectors:
         exb, exce, bxcb, bce = wavevector_bilinears(k, m, ms.volume, theta)
         kmag = Vec3(*k).norm()
         row = (
@@ -122,11 +137,12 @@ def reference_bilinears(ms: ModeSet, m: Material, theta: float = 0.0) -> Bilinea
         )
         for channel, value in zip(channels, row):
             channel.append(value)
-    return _bilinear_sums([math.fsum(channel) for channel in channels], ms)
+    sums = [math.fsum(channel) for channel in channels]
+    return _bilinear_sums(sums, len(wavevectors))
 
 
-def full_grid_closed_form(ms: ModeSet, m: Material) -> BilinearSums:
-    """The closed forms of all 15 channels summed over k and -k of every pair.
+def full_grid_closed_form(grid, m: Material, volume: float) -> BilinearSums:
+    """The closed forms of all 15 channels summed over the wavevectors of grid.
 
     Odd channels are computed and summed like the others, so their
     cancellation over the grid is measured, not assumed.
@@ -134,10 +150,10 @@ def full_grid_closed_form(ms: ModeSet, m: Material) -> BilinearSums:
     n = m.index
     (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
     ax, ay, az = yz - zy, zx - xz, xy - yx
-    a2_per_k = 2.0 * math.pi * HBAR * C_LIGHT / (n * ms.volume)
+    a2_per_k = 2.0 * math.pi * HBAR * C_LIGHT / (n * volume)
     zpe_per_k = HBAR * C_LIGHT / n
     terms = array("d")
-    for kx, ky, kz in full_grid(ms):
+    for kx, ky, kz in grid:
         k = math.hypot(kx, ky, kz)
         ux, uy, uz = kx / k, ky / k, kz / k
         a2 = a2_per_k * k
@@ -167,4 +183,4 @@ def full_grid_closed_form(ms: ModeSet, m: Material) -> BilinearSums:
             math.hypot(*exb), math.hypot(*exce), math.hypot(*bxcb), abs(bce),
             zpe_per_k * k,
         ))
-    return _bilinear_sums([math.fsum(terms[i::15]) for i in range(15)], ms)
+    return _bilinear_sums([math.fsum(terms[i::15]) for i in range(15)], len(grid))

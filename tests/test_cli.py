@@ -1,5 +1,6 @@
 """Command line behavior: schema rejection, outputs, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -7,6 +8,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vacmom.cli as cli
 import vacmom.vacuum as vacuum
@@ -442,6 +445,33 @@ _UNIT_CHI = dict(GOLDEN_MATERIAL, chi=[0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 
             },
             ("epsilon", "mu"),
         ),
+        # epsilon mu underflows to 0, so n = 0: n V and 1 / n have no value
+        (
+            "velocity",
+            {
+                "material": dict(GOLDEN_MATERIAL, epsilon=4.4e-289, mu=4.1e-68),
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+            },
+            ("epsilon", "mu", "volume"),
+        ),
+        (
+            "velocity",
+            {
+                "material": dict(GOLDEN_MATERIAL, epsilon=4.4e-289, mu=4.1e-68),
+                "fields": CROSSED_FIELDS,
+            },
+            ("epsilon", "mu"),
+        ),
+        # n is about 1e-145, and n V underflows to 0
+        (
+            "vacuum-sweep",
+            {
+                "material": dict(GOLDEN_MATERIAL, epsilon=1.0, mu=5.2e-292),
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 5.8e-199},
+                "sweep": {"parameter": "grid_n", "values": [2]},
+            },
+            ("epsilon", "mu", "volume"),
+        ),
     ],
     ids=[
         "vacuum-1e200",
@@ -453,6 +483,9 @@ _UNIT_CHI = dict(GOLDEN_MATERIAL, chi=[0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 
         "rho0-vacuum",
         "fields-overflow",
         "epsilon-mu-overflow",
+        "vacuum-index-underflow",
+        "classical-index-underflow",
+        "sweep-n-volume-underflow",
     ],
 )
 def test_non_finite_results_are_config_errors(tmp_path, capsys, command, cfg, fields):
@@ -677,3 +710,87 @@ def test_repeated_runs_are_identical(tmp_path, capsys):
     _, out_a, _ = run_cli(capsys, ["velocity", path])
     _, out_b, _ = run_cli(capsys, ["velocity", path])
     assert out_a == out_b
+
+
+_magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_signed = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from((-1.0, 1.0)), _magnitude).map(lambda p: p[0] * p[1]),
+)
+_vector = st.lists(_signed, min_size=3, max_size=3)
+
+
+@st.composite
+def _any_run(draw):
+    """One velocity (vacuum or classical) or vacuum-sweep (cutoff or grid_n) run."""
+    cfg = {
+        "material": {
+            "epsilon": draw(_magnitude),
+            "mu": draw(_magnitude),
+            "chi": draw(st.lists(_signed, min_size=9, max_size=9)),
+            "rho0": draw(_magnitude),
+        },
+    }
+    vac = {
+        "grid_n": draw(st.integers(2, 6)),
+        "cutoff": draw(_magnitude),
+        "volume": draw(_magnitude),
+    }
+    kind = draw(st.sampled_from(("classical", "vacuum", "cutoff", "grid_n")))
+    if kind == "classical":
+        cfg["fields"] = {"E": draw(_vector), "B": draw(_vector)}
+        return "velocity", cfg
+    cfg["vacuum"] = vac
+    if kind == "vacuum":
+        return "velocity", cfg
+    if kind == "cutoff":
+        # ascending cutoffs whose scaled grids stay small
+        factors = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)), min_size=1, unique=True))
+        values = [vac["cutoff"] * f for f in sorted(factors)]
+    else:
+        values = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    cfg["sweep"] = {"parameter": kind, "values": values}
+    return "vacuum-sweep", cfg
+
+
+# n V underflows to 0 at these; both once ended in a ZeroDivisionError
+_UNDERFLOWING_INDEX = {"epsilon": 4.4e-289, "mu": 4.1e-68, "chi": [0.0] * 9, "rho0": 1.0}
+_UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
+
+
+@settings(max_examples=250, deadline=None)
+@given(run=_any_run(), fmt=st.sampled_from(("csv", "json")))
+@example(
+    run=("velocity", {"material": _UNDERFLOWING_INDEX,
+                      "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}}),
+    fmt="csv",
+)
+@example(
+    run=("vacuum-sweep", {"material": _UNDERFLOWING_N_VOLUME,
+                          "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 5.8e-199},
+                          "sweep": {"parameter": "grid_n", "values": [2]}}),
+    fmt="csv",
+)
+def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, fmt):
+    command, cfg = run
+    path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, str(path), "--format", fmt])
+    assert rc in (0, 2, 3, 4, 5)
+    if rc != 0:
+        assert err.getvalue()
+        return
+    if fmt == "json":
+        rows = json.loads(out.getvalue())["result"]["rows"]
+    else:
+        rows = read_rows(out.getvalue())
+    for row in rows:
+        for column, value in row.items():
+            try:
+                x = float(value)
+            except (TypeError, ValueError):  # null, or a parameter name
+                continue
+            if not math.isfinite(x):
+                assert column == "term_ratio" or column.startswith("slope_"), (column, value)

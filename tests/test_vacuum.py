@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polarization_reference import (
     amplitude,
+    cell_centres,
     full_grid_closed_form,
     modes,
     reference_bilinears,
@@ -36,6 +37,10 @@ CHI_G = Mat3(0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0)
 M_COUPLED = Material(2.25, 1.0, CHI_G, 1.0)
 M_GENERIC = Material(
     2.6, 0.74, Mat3(-0.09, -0.16, -0.38, 0.33, 0.33, -0.25, -0.41, 0.13, -0.3), 1.0
+)
+# exact zeros of both signs, with ax(chi) = (-0.0, 0.0, 0.75)
+M_SIGNED_ZEROS = Material(
+    1.7, 0.9, Mat3(0.0, 0.25, -0.0, -0.5, -0.0, -0.0, 0.0, 0.0, 0.75), 1.0
 )
 
 
@@ -74,9 +79,11 @@ def test_minimal_grid_geometry():
 
 
 def test_wavevectors_come_in_exact_opposite_pairs():
-    for grid_n in (4, 5):
+    for grid_n in (*range(2, 18), 32, 33):
         ms = build_mode_set(M_COUPLED, grid_n, CUTOFF, 1.0)
         kset = set(ms.pairs)
+        # each pair once, however many orbits share a plane
+        assert len(kset) == len(ms.pairs)
         negated = {(-kx, -ky, -kz) for kx, ky, kz in kset}
         # no pair holds both k and -k
         assert not kset & negated
@@ -84,16 +91,10 @@ def test_wavevectors_come_in_exact_opposite_pairs():
             first = next(c for c in k if c != 0.0)
             assert first < 0.0
         # the kept members and their negations make up the filtered grid
-        step = 2.0 * CUTOFF / grid_n
-        coords = [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
-        grid = {
-            (kx, ky, kz)
-            for kx in coords
-            for ky in coords
-            for kz in coords
-            if 0.0 < math.hypot(kx, ky, kz) <= CUTOFF
-        }
-        assert kset | negated == grid
+        grid = cell_centres(grid_n, CUTOFF)
+        assert kset | negated == set(grid)
+        # two polarization modes per cell
+        assert ms.mode_count == 2 * len(grid)
 
 
 def test_modes_are_grouped_by_wavevector():
@@ -125,7 +126,7 @@ def test_mode_invariants():
         assert abs(dot(pair[0].polarization, pair[1].polarization)) <= 1e-12
         # the library's |E x B| carries the same amplitude: 2 n a^2 at
         # each of k and -k
-        single = vacuum_bilinears(ModeSet((k,), CUTOFF, volume, 4), m)
+        single = vacuum_bilinears(ModeSet(((*k, 1),), CUTOFF, volume, 4), m)
         assert math.isclose(single.abs_e_cross_b, 4.0 * n * want_amp**2, rel_tol=1e-12)
 
 
@@ -171,7 +172,7 @@ def test_single_axial_mode_bilinears():
     n = M_COUPLED.index
     k0 = 0.25 * CUTOFF
     a2 = 2.0 * math.pi * HBAR * C_LIGHT * k0 / n
-    ms = ModeSet(((0.0, 0.0, k0),), CUTOFF, 1.0, 2)
+    ms = ModeSet(((0.0, 0.0, k0, 1),), CUTOFF, 1.0, 2)
     bs = vacuum_bilinears(ms, M_COUPLED)
     assert bs.mode_count == 4
     assert bs.e_cross_b == Vec3(0.0, 0.0, 0.0)
@@ -260,19 +261,25 @@ def test_summation_is_deterministic():
 
 def test_summation_is_order_independent():
     ms = build_mode_set(M_GENERIC, 7, CUTOFF, 1.0)
-    reversed_ms = ModeSet(ms.pairs[::-1], ms.cutoff, ms.volume, ms.grid_n)
+    reversed_ms = ModeSet(ms.orbits[::-1], ms.cutoff, ms.volume, ms.grid_n)
     assert vacuum_bilinears(reversed_ms, M_GENERIC) == vacuum_bilinears(ms, M_GENERIC)
 
 
-@pytest.mark.parametrize("cutoff", [1e-300, CUTOFF, 1e300])
-@pytest.mark.parametrize("m", [M_EMPTY, M_COUPLED, M_GENERIC], ids=["empty", "coupled", "generic"])
-@pytest.mark.parametrize("grid_n", [2, 3, 4, 5, 7, 8, 16, 17])
+@pytest.mark.parametrize("cutoff", [1e-310, 1e-300, CUTOFF, 1e300])
+@pytest.mark.parametrize(
+    "m",
+    [M_EMPTY, M_COUPLED, M_GENERIC, M_SIGNED_ZEROS],
+    ids=["empty", "coupled", "generic", "signed-zeros"],
+)
+@pytest.mark.parametrize("grid_n", [2, 3, 4, 5, 7, 8, 16, 17, 32, 33])
 def test_half_grid_sums_equal_full_grid_bitwise(grid_n, m, cutoff):
     # at cutoff 1e-300 the terms are subnormal, where doubling a factor
-    # of them instead of their sum would round differently
+    # of them instead of their sum would round differently; at 1e-310
+    # the cell centres are subnormal too. Odd grids hold the zero planes,
+    # whose pairs make orbits of fewer than four.
     ms = build_mode_set(m, grid_n, cutoff, 1.0)
     got = vacuum_bilinears(ms, m)
-    want = full_grid_closed_form(ms, m)
+    want = full_grid_closed_form(cell_centres(grid_n, cutoff), m, 1.0)
     assert got == want
     # repr tells -0.0 from 0.0, which the CSV output would print
     assert repr(got) == repr(want)
@@ -317,8 +324,9 @@ def test_closed_form_matches_polarization_sum(chi, eps, mu, direction, kmag):
     m = Material(eps, mu, Mat3(*chi), 1.0)
     norm = math.hypot(*direction)
     k = tuple(kmag * c / norm for c in direction)
-    got = vacuum_bilinears(ModeSet((k,), kmag, 1.0, 2), m)
-    want = reference_bilinears(ModeSet((k,), kmag, 1.0, 2), m)
+    ms = ModeSet(((*k, 1),), kmag, 1.0, 2)
+    got = vacuum_bilinears(ms, m)
+    want = reference_bilinears(ms, m)
     a2 = amplitude(math.hypot(*k), m, 1.0) ** 2
     assert_sums_match(got, want, m, a2)
 
