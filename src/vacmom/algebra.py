@@ -1,4 +1,5 @@
-"""Small fixed-size real linear algebra plus the shared domain types.
+"""Small fixed-size real linear algebra, a least-squares slope, and the
+shared domain types.
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads or
@@ -157,6 +158,27 @@ def mat_apply(m: Mat3, v: Vec3) -> Vec3:
         m.yx * v.x + m.yy * v.y + m.yz * v.z,
         m.zx * v.x + m.zy * v.y + m.zz * v.z,
     )
+
+
+def fit_slope(xs, ys) -> float | None:
+    """Least-squares slope of ys against xs, or None when it is undefined.
+
+    None means fewer than two points or xs all equal. Otherwise this is
+    the formula of Python 3.11's statistics.linear_regression (fsum
+    means, an fsum of centred products, then sxy / sxx), so the slope
+    matches it bit for bit without importing statistics, which pulls in
+    fractions and decimal.
+    """
+    n = len(xs)
+    if n < 2:
+        return None
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(ys) / n
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = math.fsum((d := x - xbar) * d for x in xs)
+    if sxx == 0.0:
+        return None
+    return sxy / sxx
 
 
 @dataclass(frozen=True, slots=True)

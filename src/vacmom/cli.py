@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from dataclasses import replace
 
-from .algebra import BoostSpec, FieldState
+from .algebra import BoostSpec, FieldState, Material
 from .config import (
     RunConfig,
     VacuumSpec,
@@ -111,6 +112,13 @@ def _boost_list(cfg: RunConfig) -> list[BoostSpec]:
     return [cfg.boost]
 
 
+def _transform_out_of_range(m: Material, boost: BoostSpec) -> NonFiniteResult:
+    return NonFiniteResult(
+        "transformed constants leave the float range at"
+        f" epsilon={m.epsilon!r}, mu={m.mu!r}, beta={boost.beta!r}"
+    )
+
+
 def cmd_transform(cfg: RunConfig, args) -> int:
     m = cfg.material
     n = m.index
@@ -126,20 +134,25 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     rows = []
     for boost in _boost_list(cfg):
         tc = transform_constants(m, boost)
+        # mu' is 0 where mu/eps underflows or beta = -n
+        if tc.mu_prime == 0.0:
+            raise _transform_out_of_range(m, boost)
         n_prime = index_of(tc)
         impedance = tc.epsilon_prime / tc.mu_prime
         expected_index = (n + boost.beta) / (1.0 + n * boost.beta)
-        rows.append(
-            (
-                boost.beta,
-                tc.epsilon_prime,
-                tc.mu_prime,
-                n_prime,
-                impedance,
-                abs(impedance - m.epsilon / m.mu),
-                abs(n_prime - expected_index),
-            )
+        row = (
+            boost.beta,
+            tc.epsilon_prime,
+            tc.mu_prime,
+            n_prime,
+            impedance,
+            abs(impedance - m.epsilon / m.mu),
+            abs(n_prime - expected_index),
         )
+        # n = sqrt(eps mu) or eps/mu overflows at extreme constants
+        if not all(map(math.isfinite, row)):
+            raise _transform_out_of_range(m, boost)
+        rows.append(row)
     _emit(cfg, args, "transform", header, rows)
     return 0
 
@@ -342,7 +355,14 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    parse_args gives a fresh Namespace on every call and writes usage
+    and errors to sys.stdout and sys.stderr as they are at that call,
+    so reusing the parser leaves every call's output unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="vacmom",
         description="Momentum of a moving magnetoelectric medium:"

@@ -19,11 +19,19 @@ the momentum module.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
-from .algebra import BoostSpec, FieldState, Material, ZHAT, cross, dot, mat_apply
-from .errors import DegenerateGrid
+from .algebra import (
+    BoostSpec,
+    FieldState,
+    Material,
+    ZHAT,
+    cross,
+    dot,
+    fit_slope,
+    mat_apply,
+)
+from .errors import DegenerateGrid, NonFiniteResult
 from .relativity import transform_constants, transform_fields
 
 # central difference step for the derivative check; balances truncation
@@ -116,6 +124,15 @@ def isolate_mu_term(m: Material, f: FieldState, b: BoostSpec) -> float:
     return (1.0 / tc.mu_prime - 1.0 / m.mu) * bce
 
 
+def _out_of_range(m: Material, f: FieldState) -> str:
+    chi = max(abs(c) for row in m.chi.rows() for c in row)
+    return (
+        "expand-check densities leave the float range at"
+        f" epsilon={m.epsilon!r}, mu={m.mu!r}, chi up to {chi!r},"
+        f" fields.E={list(f.E.as_tuple())!r}, fields.B={list(f.B.as_tuple())!r}"
+    )
+
+
 def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
     """Check that the truncation error of the first-order form is O(beta^2).
 
@@ -124,7 +141,9 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
     compares the central-difference derivative of the exact density at
     beta = 0 with the analytic first-order rate (mixing + mu_correction)
     divided by beta. Residuals that vanish identically (chi = 0 or
-    degenerate fields) are flagged instead of fitted.
+    degenerate fields) are flagged instead of fitted. Raises
+    NonFiniteResult when a density, a residual or the derivative
+    comparison leaves the float range.
     """
     grid = tuple(float(x) for x in beta_grid)
     if len(grid) < 3:
@@ -135,31 +154,41 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise DegenerateGrid("grid must be strictly increasing")
 
-    residuals = []
-    for beta in grid:
-        spec = BoostSpec(beta)
-        exact = me_density_exact(m, f, spec)
-        trunc = me_density_first_order(m, f, spec).total_first_order
-        residuals.append(abs(exact - trunc))
+    try:
+        residuals = []
+        for beta in grid:
+            spec = BoostSpec(beta)
+            exact = me_density_exact(m, f, spec)
+            trunc = me_density_first_order(m, f, spec).total_first_order
+            residuals.append(abs(exact - trunc))
 
-    points = [(math.log(b), math.log(r)) for b, r in zip(grid, residuals) if r > 0.0]
-    identically_zero = len(points) == 0
-    if len(points) >= 2:
-        slope, _ = statistics.linear_regression(
-            [p[0] for p in points], [p[1] for p in points]
-        )
-    else:
-        slope = None
-
-    h = _FD_STEP
-    fd = (
-        me_density_exact(m, f, BoostSpec(h)) - me_density_exact(m, f, BoostSpec(-h))
-    ) / (2.0 * h)
-    bk = me_density_first_order(m, f, BoostSpec(grid[0]))
-    rate = (bk.mixing + bk.mu_correction) / grid[0]
+        h = _FD_STEP
+        fd = (
+            me_density_exact(m, f, BoostSpec(h)) - me_density_exact(m, f, BoostSpec(-h))
+        ) / (2.0 * h)
+        bk = me_density_first_order(m, f, BoostSpec(grid[0]))
+        rate = (bk.mixing + bk.mu_correction) / grid[0]
+    except (ValueError, ZeroDivisionError) as exc:
+        # Vec3 rejects an overflowing field or chi product; 1/mu' or 1/n
+        # has no value where mu' or n underflows to 0
+        raise NonFiniteResult(_out_of_range(m, f)) from exc
     delta = abs(fd - rate)
+    # nan or inf; a finite delta means fd and rate are finite too
+    if not delta < math.inf:
+        raise NonFiniteResult(_out_of_range(m, f))
     scale = max(abs(fd), abs(rate))
     rel = delta / scale if scale > 0.0 else 0.0
+
+    points = [
+        (math.log(b), math.log(r))
+        for b, r in zip(grid, residuals)
+        if 0.0 < r < math.inf
+    ]
+    # a residual left out of the fit that is not 0 is nan or inf
+    if len(points) < len(grid) and len(points) + residuals.count(0.0) < len(grid):
+        raise NonFiniteResult(_out_of_range(m, f))
+    identically_zero = len(points) == 0
+    slope = fit_slope([p[0] for p in points], [p[1] for p in points])
 
     return ExpansionReport(
         beta_grid=grid,

@@ -62,12 +62,11 @@ A sum that leaves the float range raises NonFiniteResult.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from itertools import chain, product
 from struct import Struct
 
-from .algebra import ZERO3, Material, Vec3
+from .algebra import ZERO3, Material, Vec3, fit_slope
 from .constants import C_LIGHT, HBAR
 from .errors import EmptyModeSet, NonFiniteResult
 
@@ -386,8 +385,9 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
 def scaling_slopes(sweep) -> dict[str, float]:
     """Log-log growth exponents of each magnitude channel over a sweep.
 
-    Takes the output of cutoff_sweep. Channels that are zero somewhere
-    (or with fewer than two usable points) get nan.
+    Takes the output of cutoff_sweep. A channel gets nan where its
+    slope is undefined: fewer than two cutoffs where it is nonzero, or
+    only one distinct cutoff among them.
     """
     slopes: dict[str, float] = {}
     for name in MAGNITUDE_CHANNELS:
@@ -396,11 +396,6 @@ def scaling_slopes(sweep) -> dict[str, float]:
             for c, s in sweep
             if getattr(s, name) > 0.0
         ]
-        if len(pts) < 2:
-            slopes[name] = float("nan")
-            continue
-        slope, _ = statistics.linear_regression(
-            [p[0] for p in pts], [p[1] for p in pts]
-        )
-        slopes[name] = slope
+        slope = fit_slope([p[0] for p in pts], [p[1] for p in pts])
+        slopes[name] = math.nan if slope is None else slope
     return slopes

@@ -1,9 +1,11 @@
 """Vector and matrix primitives plus domain type validation."""
 
 import math
+import statistics
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vacmom import (
@@ -19,6 +21,7 @@ from vacmom import (
     mat_apply,
     triple,
 )
+from vacmom.algebra import fit_slope
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 vectors = st.builds(Vec3, finite, finite, finite)
@@ -139,3 +142,36 @@ def test_vec3_arithmetic():
     assert a.scale(2.0) == Vec3(2.0, 4.0, 6.0)
     assert -a == Vec3(-1.0, -2.0, -3.0)
     assert math.isclose(Vec3(3.0, 4.0, 0.0).norm(), 5.0, rel_tol=1e-15)
+
+
+# log-log fit points: logs of cutoffs or betas, with repeated and constant xs
+_log = st.floats(min_value=-700.0, max_value=700.0, allow_nan=False, allow_infinity=False)
+_points = st.lists(
+    st.tuples(st.one_of(st.sampled_from((-9.2, 0.0, 5.5)), _log), _log), max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points)
+@example([(-9.2, 1.0), (-9.2, 3.0)])  # x constant
+@example([(-9.2, 1.0)])
+@example([])
+def test_fit_slope_matches_statistics(points):
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    slope = fit_slope(xs, ys)
+    try:
+        reference = statistics.linear_regression(xs, ys).slope
+    except statistics.StatisticsError:  # fewer than two points, or x constant
+        assert slope is None
+        return
+    if sys.version_info < (3, 12):
+        assert slope.hex() == reference.hex()
+    else:
+        # 3.12 forms sxy and sxx with sumprod, which rounds differently:
+        # an error in sxy of a few ulp of sqrt(sxx syy) moves the slope
+        # by as many ulp of sqrt(syy / sxx)
+        xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        sxx = math.fsum((x - xbar) ** 2 for x in xs)
+        syy = math.fsum((y - ybar) ** 2 for y in ys)
+        assert math.isclose(slope, reference, rel_tol=1e-12, abs_tol=1e-12 * math.sqrt(syy / sxx))

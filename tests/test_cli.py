@@ -6,6 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,8 @@ import vacmom.cli as cli
 import vacmom.vacuum as vacuum
 from vacmom import MAX_GRID_N, EmptyModeSet, Vec3, parse_config
 from vacmom.config import config_to_dict, load_config
+
+from conftest import src_env
 
 GOLDEN_MATERIAL = {
     "epsilon": 2.25,
@@ -373,6 +378,8 @@ def test_vacuum_sweep_extreme_cutoffs(tmp_path, capsys, cutoff):
 
 
 _TINY_RHO0 = dict(GOLDEN_MATERIAL, rho0=1e-320)
+_SPLIT_CONSTANTS = dict(GOLDEN_MATERIAL, epsilon=1e300, mu=1e-300)
+_HUGE_CONSTANTS = dict(GOLDEN_MATERIAL, epsilon=1e308, mu=1e308)
 _UNIT_CHI = dict(GOLDEN_MATERIAL, chi=[0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
@@ -472,6 +479,62 @@ _UNIT_CHI = dict(GOLDEN_MATERIAL, chi=[0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 
             },
             ("epsilon", "mu", "volume"),
         ),
+        # mu/eps underflows to 0, so mu' = 0 and eps'/mu' has no value
+        (
+            "transform",
+            {"material": _SPLIT_CONSTANTS, "boost": {"beta": 0.1}},
+            ("epsilon", "mu"),
+        ),
+        # n = sqrt(eps mu) overflows: boosted, the factor is inf/inf ...
+        (
+            "transform",
+            {"material": _HUGE_CONSTANTS, "boost": {"beta": 0.1}},
+            ("epsilon", "mu"),
+        ),
+        # ... and unboosted, the transformed index is inf
+        (
+            "transform",
+            {"material": _HUGE_CONSTANTS, "boost": {"beta": 0.0}},
+            ("epsilon", "mu"),
+        ),
+        # beta = -n sends eps' and mu' to exactly 0
+        (
+            "transform",
+            {"material": dict(GOLDEN_MATERIAL, epsilon=0.5, mu=0.5), "boost": {"beta": -0.5}},
+            ("epsilon", "mu", "beta"),
+        ),
+        # 1 / mu' with mu' = 0
+        ("expand-check", {"material": _SPLIT_CONSTANTS, "fields": CROSSED_FIELDS}, ("epsilon", "mu")),
+        # 1 / n with eps mu underflowing to 0
+        (
+            "expand-check",
+            {
+                "material": dict(GOLDEN_MATERIAL, epsilon=4.4e-289, mu=4.1e-68),
+                "fields": CROSSED_FIELDS,
+            },
+            ("epsilon", "mu"),
+        ),
+        # the boosted fields overflow
+        (
+            "expand-check",
+            {"fields": {"E": [1.79e308, 0.0, 0.0], "B": [0.0, -1.79e308, 0.0]}},
+            ("fields.E", "fields.B"),
+        ),
+        # chi^T E overflows
+        (
+            "expand-check",
+            {
+                "material": dict(GOLDEN_MATERIAL, chi=[0.0, 1e300] + [0.0] * 7),
+                "fields": {"E": [1e10, 0.0, 0.0], "B": [0.0, 1.0, 0.0]},
+            },
+            ("chi", "fields.E"),
+        ),
+        # B . chi^T E overflows and every residual is inf - inf = nan
+        (
+            "expand-check",
+            {"fields": {"E": [1e200, 0.0, 0.0], "B": [0.0, 1e200, 0.0]}},
+            ("fields.E", "fields.B"),
+        ),
     ],
     ids=[
         "vacuum-1e200",
@@ -486,6 +549,15 @@ _UNIT_CHI = dict(GOLDEN_MATERIAL, chi=[0.0, 1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 
         "vacuum-index-underflow",
         "classical-index-underflow",
         "sweep-n-volume-underflow",
+        "transform-mu-prime-underflow",
+        "transform-index-overflow",
+        "transform-unboosted-index-overflow",
+        "transform-beta-minus-n",
+        "expand-mu-prime-underflow",
+        "expand-index-underflow",
+        "expand-fields-overflow",
+        "expand-chi-overflow",
+        "expand-nan-residuals",
     ],
 )
 def test_non_finite_results_are_config_errors(tmp_path, capsys, command, cfg, fields):
@@ -699,6 +771,86 @@ def test_empty_mode_set_exit_code(tmp_path, capsys, monkeypatch):
     assert "empty mode set" in err
 
 
+def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch):
+    """Calls in one process print what each argv prints in a process of its own."""
+    # argparse wraps usage to the terminal width; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    transform = write_config(
+        tmp_path, {"material": GOLDEN_MATERIAL, "boost": {"beta": 0.2}}, "transform.json"
+    )
+    vacuum_cfg = write_config(
+        tmp_path,
+        {"material": GOLDEN_MATERIAL, "vacuum": {"grid_n": 6, "cutoff": 1e5, "volume": 1.0}},
+        "vacuum.json",
+    )
+    calls = [
+        ["transform", transform, "--beta", "0.05"],
+        ["transform", transform],  # the config's boost again
+        ["velocity", vacuum_cfg, "--cutoff", "2e5"],
+        ["velocity", vacuum_cfg],  # the config's cutoff again
+        ["velocity", vacuum_cfg, "--format", "xml"],  # usage and exit 2
+        ["transform", transform, "--format", "json"],
+        ["transform", transform],  # csv again
+    ]
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "vacmom", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert (rc, out.getvalue(), err.getvalue()) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+def test_cli_process_builds_one_parser_and_never_imports_statistics(tmp_path):
+    expand = write_config(
+        tmp_path, {"material": GOLDEN_MATERIAL, "fields": CROSSED_FIELDS}, "expand.json"
+    )
+    sweep = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+            "sweep": {"parameter": "cutoff", "values": [1e5, 2e5]},
+        },
+        "sweep.json",
+    )
+    code = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        import vacmom.cli as cli
+        built_on_import = cli._build_parser.cache_info().currsize
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            codes = [cli.main(["expand-check", {expand!r}]),
+                     cli.main(["vacuum-sweep", {sweep!r}])]
+        print(built_on_import, cli._build_parser.cache_info().misses, codes)
+        print(sorted(m for m in ("statistics", "fractions", "decimal") if m in sys.modules))
+        print("slope_abs_e_cross_b" in out.getvalue())
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0 1 [0, 0]", "[]", "True"]
+
+
 def test_repeated_runs_are_identical(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -720,9 +872,26 @@ _signed = st.one_of(
 _vector = st.lists(_signed, min_size=3, max_size=3)
 
 
+_beta = st.one_of(
+    st.just(0.0),
+    st.tuples(
+        st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 0.0, exclude_max=True)
+    ).map(lambda p: p[0] * 10.0 ** p[1]),
+)
+# increasing expansion grids in (0, 0.1]
+_beta_grid = st.lists(
+    st.floats(-300.0, -1.0).map(lambda e: 10.0**e), min_size=3, max_size=4, unique=True
+).map(sorted)
+
+
 @st.composite
 def _any_run(draw):
-    """One velocity (vacuum or classical) or vacuum-sweep (cutoff or grid_n) run."""
+    """One run of any command: (command, config, extra argv).
+
+    transform (config boost, beta sweep or --beta), expand-check (default
+    or drawn grid), velocity (vacuum or classical) and vacuum-sweep
+    (cutoff or grid_n).
+    """
     cfg = {
         "material": {
             "epsilon": draw(_magnitude),
@@ -731,18 +900,38 @@ def _any_run(draw):
             "rho0": draw(_magnitude),
         },
     }
+    kind = draw(
+        st.sampled_from(
+            ("transform", "transform-beta", "expand-check",
+             "classical", "vacuum", "cutoff", "grid_n")
+        )
+    )
+    if kind.startswith("transform"):
+        if draw(st.booleans()):
+            cfg["boost"] = {"beta": draw(_beta)}
+        else:
+            cfg["sweep"] = {
+                "parameter": "beta",
+                "values": draw(st.lists(_beta, min_size=1, max_size=3)),
+            }
+        # --beta=x, because argparse reads "--beta -1e-05" as two options
+        flags = (f"--beta={draw(_beta)!r}",) if kind == "transform-beta" else ()
+        return "transform", cfg, flags
+    if kind in ("expand-check", "classical"):
+        cfg["fields"] = {"E": draw(_vector), "B": draw(_vector)}
+        if kind == "classical":
+            return "velocity", cfg, ()
+        if draw(st.booleans()):
+            cfg["sweep"] = {"parameter": "beta", "values": draw(_beta_grid)}
+        return "expand-check", cfg, ()
     vac = {
         "grid_n": draw(st.integers(2, 6)),
         "cutoff": draw(_magnitude),
         "volume": draw(_magnitude),
     }
-    kind = draw(st.sampled_from(("classical", "vacuum", "cutoff", "grid_n")))
-    if kind == "classical":
-        cfg["fields"] = {"E": draw(_vector), "B": draw(_vector)}
-        return "velocity", cfg
     cfg["vacuum"] = vac
     if kind == "vacuum":
-        return "velocity", cfg
+        return "velocity", cfg, ()
     if kind == "cutoff":
         # ascending cutoffs whose scaled grids stay small
         factors = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)), min_size=1, unique=True))
@@ -750,7 +939,7 @@ def _any_run(draw):
     else:
         values = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
     cfg["sweep"] = {"parameter": kind, "values": values}
-    return "vacuum-sweep", cfg
+    return "vacuum-sweep", cfg, ()
 
 
 # n V underflows to 0 at these; both once ended in a ZeroDivisionError
@@ -762,22 +951,30 @@ _UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
 @given(run=_any_run(), fmt=st.sampled_from(("csv", "json")))
 @example(
     run=("velocity", {"material": _UNDERFLOWING_INDEX,
-                      "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}}),
+                      "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}}, ()),
     fmt="csv",
 )
 @example(
     run=("vacuum-sweep", {"material": _UNDERFLOWING_N_VOLUME,
                           "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 5.8e-199},
-                          "sweep": {"parameter": "grid_n", "values": [2]}}),
+                          "sweep": {"parameter": "grid_n", "values": [2]}}, ()),
+    fmt="csv",
+)
+@example(
+    run=("transform", {"material": _HUGE_CONSTANTS}, ("--beta=0.1",)),
+    fmt="csv",
+)
+@example(
+    run=("expand-check", {"material": _UNDERFLOWING_INDEX, "fields": CROSSED_FIELDS}, ()),
     fmt="csv",
 )
 def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, fmt):
-    command, cfg = run
+    command, cfg, flags = run
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main([command, str(path), "--format", fmt])
+        rc = cli.main([command, str(path), "--format", fmt, *flags])
     assert rc in (0, 2, 3, 4, 5)
     if rc != 0:
         assert err.getvalue()
@@ -793,4 +990,9 @@ def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, f
             except (TypeError, ValueError):  # null, or a parameter name
                 continue
             if not math.isfinite(x):
-                assert column == "term_ratio" or column.startswith("slope_"), (column, value)
+                # expand-check leaves the slope out when every residual is 0
+                unfitted = column == "slope" and row["identically_zero"] in (True, "true")
+                assert unfitted or column == "term_ratio" or column.startswith("slope_"), (
+                    column,
+                    value,
+                )
