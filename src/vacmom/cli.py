@@ -12,7 +12,9 @@ diagnostics to stderr, and uses the exit code contract
     5  empty vacuum mode set
 
 CSV floats are written with 17 significant digits and JSON floats with
-the shortest exact representation, so both round-trip bit for bit.
+the shortest exact representation, so both round-trip bit for bit. An
+undefined value (None or nan) is nan in CSV and null in JSON. An
+override option is registered only on the subcommands that read it.
 """
 
 from __future__ import annotations
@@ -22,16 +24,12 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
 from .algebra import BoostSpec, FieldState, Material
-from .config import (
-    RunConfig,
-    VacuumSpec,
-    config_to_dict,
-    load_config,
-)
+from .config import RunConfig, config_to_dict, load_config
 from .errors import (
     ConfigError,
     DegenerateBoost,
@@ -56,34 +54,45 @@ SLOPE_WINDOW = (1.9, 2.1)
 
 _LONGITUDINAL_TOL = 1e-9
 
+# the argparse of Python 3.11 reads a token as a negative number, and so
+# as an option's value, only in the forms -1, -1.5 and -.5; this matcher
+# takes exponent forms such as -1e-05 too
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 
 def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
     if value is None:
         return "nan"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
     return str(value)
 
 
-def _emit(cfg: RunConfig, args, command: str, header, rows) -> None:
+def _emit(cfg: RunConfig, args, rows) -> None:
+    """Write rows of (column, value) pairs; the first row names the columns."""
+    header = [column for column, _ in rows[0]]
     if args.format == "json":
         payload = {
-            "command": command,
+            "command": args.command,
             "config": config_to_dict(cfg),
             "result": {
-                "columns": list(header),
-                "rows": [dict(zip(header, row)) for row in rows],
+                "columns": header,
+                # nan, the one value unequal to itself, is written as null
+                "rows": [{c: None if v != v else v for c, v in row} for row in rows],
             },
         }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+            writer.writerow([_csv_cell(v) for _, v in row])
+
+
+def _xyz(prefix: str, v) -> tuple:
+    return ((f"{prefix}_x", v.x), (f"{prefix}_y", v.y), (f"{prefix}_z", v.z))
 
 
 def _warn_longitudinal(f: FieldState) -> None:
@@ -122,15 +131,6 @@ def _transform_out_of_range(m: Material, boost: BoostSpec) -> NonFiniteResult:
 def cmd_transform(cfg: RunConfig, args) -> int:
     m = cfg.material
     n = m.index
-    header = (
-        "beta",
-        "epsilon_prime",
-        "mu_prime",
-        "index_prime",
-        "impedance_ratio",
-        "impedance_delta",
-        "index_delta",
-    )
     rows = []
     for boost in _boost_list(cfg):
         tc = transform_constants(m, boost)
@@ -141,19 +141,20 @@ def cmd_transform(cfg: RunConfig, args) -> int:
         impedance = tc.epsilon_prime / tc.mu_prime
         expected_index = (n + boost.beta) / (1.0 + n * boost.beta)
         row = (
-            boost.beta,
-            tc.epsilon_prime,
-            tc.mu_prime,
-            n_prime,
-            impedance,
-            abs(impedance - m.epsilon / m.mu),
-            abs(n_prime - expected_index),
+            ("beta", boost.beta),
+            ("epsilon_prime", tc.epsilon_prime),
+            ("mu_prime", tc.mu_prime),
+            ("index_prime", n_prime),
+            ("impedance_ratio", impedance),
+            ("impedance_delta", abs(impedance - m.epsilon / m.mu)),
+            ("index_delta", abs(n_prime - expected_index)),
         )
         # n = sqrt(eps mu) or eps/mu overflows at extreme constants
-        if not all(map(math.isfinite, row)):
+        _, values = zip(*row)
+        if not all(map(math.isfinite, values)):
             raise _transform_out_of_range(m, boost)
         rows.append(row)
-    _emit(cfg, args, "transform", header, rows)
+    _emit(cfg, args, rows)
     return 0
 
 
@@ -166,26 +167,18 @@ def cmd_expand_check(cfg: RunConfig, args) -> int:
     else:
         grid = DEFAULT_BETA_GRID
     report = verify_expansion(cfg.material, cfg.fields, grid)
-    header = (
-        "beta",
-        "residual",
-        "slope",
-        "derivative_delta",
-        "derivative_rel",
-        "identically_zero",
-    )
     rows = [
         (
-            beta,
-            res,
-            report.slope,
-            report.derivative_delta,
-            report.derivative_rel,
-            report.identically_zero,
+            ("beta", beta),
+            ("residual", res),
+            ("slope", report.slope),
+            ("derivative_delta", report.derivative_delta),
+            ("derivative_rel", report.derivative_rel),
+            ("identically_zero", report.identically_zero),
         )
         for beta, res in zip(report.beta_grid, report.residuals)
     ]
-    _emit(cfg, args, "expand-check", header, rows)
+    _emit(cfg, args, rows)
     if report.identically_zero:
         return 0
     if report.slope is None or not (SLOPE_WINDOW[0] <= report.slope <= SLOPE_WINDOW[1]):
@@ -215,43 +208,16 @@ def cmd_velocity(cfg: RunConfig, args) -> int:
             raise ConfigError("velocity requires a fields or a vacuum section")
         _warn_longitudinal(cfg.fields)
         vr = medium_velocity(m, cfg.fields)
-    header = (
-        "v_x",
-        "v_y",
-        "v_z",
-        "transverse_residual",
-        "am_x",
-        "am_y",
-        "am_z",
-        "chi_E_x",
-        "chi_E_y",
-        "chi_E_z",
-        "chi_B_x",
-        "chi_B_y",
-        "chi_B_z",
-        "mu_term_z",
-        "term_ratio",
+    row = (
+        *_xyz("v", vr.rhs_vector),
+        ("transverse_residual", vr.transverse_residual),
+        *_xyz("am", vr.abraham_minkowski_term),
+        *_xyz("chi_E", vr.chi_E_term),
+        *_xyz("chi_B", vr.chi_B_term),
+        ("mu_term_z", vr.mu_term_z),
+        ("term_ratio", term_ratio_of(vr)),
     )
-    rows = [
-        (
-            vr.rhs_vector.x,
-            vr.rhs_vector.y,
-            vr.rhs_vector.z,
-            vr.transverse_residual,
-            vr.abraham_minkowski_term.x,
-            vr.abraham_minkowski_term.y,
-            vr.abraham_minkowski_term.z,
-            vr.chi_E_term.x,
-            vr.chi_E_term.y,
-            vr.chi_E_term.z,
-            vr.chi_B_term.x,
-            vr.chi_B_term.y,
-            vr.chi_B_term.z,
-            vr.mu_term_z,
-            term_ratio_of(vr),
-        )
-    ]
-    _emit(cfg, args, "velocity", header, rows)
+    _emit(cfg, args, [row])
     return 0
 
 
@@ -270,7 +236,6 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
         except ValueError as exc:
             raise ConfigError(f"sweep.values: {exc}") from exc
         slopes = scaling_slopes(entries)
-        labelled = [(c, s) for c, s in entries]
     elif sweep.parameter == "grid_n":
         # every value is checked before any grid is built; the range test
         # comes first, so int() never meets inf or nan
@@ -280,10 +245,10 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
                     "sweep.values: grid_n must be an integer in"
                     f" [2, MAX_GRID_N={MAX_GRID_N}], got {v!r}"
                 )
-        labelled = []
+        entries = []
         for v in sweep.values:
             ms = build_mode_set(m, int(v), vac.cutoff, vac.volume)
-            labelled.append((int(v), vacuum_bilinears(ms, m)))
+            entries.append((int(v), vacuum_bilinears(ms, m)))
         slopes = dict.fromkeys(MAGNITUDE_CHANNELS)
     else:
         raise ConfigError(
@@ -291,68 +256,63 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
             f" got {sweep.parameter!r}"
         )
 
-    def _maybe_nan(x):
-        if x is None or (isinstance(x, float) and math.isnan(x)):
-            return None
-        return x
-
-    header = (
-        "sweep_parameter",
-        "sweep_value",
-        "mode_count",
-        "zero_point_energy",
-        "e_cross_b_z",
-        "e_cross_chiT_e_z",
-        "b_cross_chi_b_z",
-        "b_dot_chiT_e",
-        *MAGNITUDE_CHANNELS,
-        *(f"slope_{name}" for name in MAGNITUDE_CHANNELS),
-    )
-    rows = []
-    for value, sums in labelled:
-        rows.append(
-            (
-                sweep.parameter,
-                value,
-                sums.mode_count,
-                sums.zero_point_energy,
-                sums.e_cross_b.z,
-                sums.e_cross_chiT_e.z,
-                sums.b_cross_chi_b.z,
-                sums.b_dot_chiT_e,
-                *(getattr(sums, name) for name in MAGNITUDE_CHANNELS),
-                *(_maybe_nan(slopes[name]) for name in MAGNITUDE_CHANNELS),
-            )
+    rows = [
+        (
+            ("sweep_parameter", sweep.parameter),
+            ("sweep_value", value),
+            ("mode_count", sums.mode_count),
+            ("zero_point_energy", sums.zero_point_energy),
+            ("e_cross_b_z", sums.e_cross_b.z),
+            ("e_cross_chiT_e_z", sums.e_cross_chiT_e.z),
+            ("b_cross_chi_b_z", sums.b_cross_chi_b.z),
+            ("b_dot_chiT_e", sums.b_dot_chiT_e),
+            *((name, getattr(sums, name)) for name in MAGNITUDE_CHANNELS),
+            *((f"slope_{name}", slopes[name]) for name in MAGNITUDE_CHANNELS),
         )
-    _emit(cfg, args, "vacuum-sweep", header, rows)
+        for value, sums in entries
+    ]
+    _emit(cfg, args, rows)
     return 0
 
 
-_COMMANDS = {
-    "transform": cmd_transform,
-    "expand-check": cmd_expand_check,
-    "velocity": cmd_velocity,
-    "vacuum-sweep": cmd_vacuum_sweep,
+def _override_beta(cfg: RunConfig, beta: float) -> RunConfig:
+    try:
+        return replace(cfg, boost=BoostSpec(beta))
+    except ValueError as exc:
+        raise ConfigError(f"--beta: {exc}") from exc
+
+
+def _override_cutoff(cfg: RunConfig, cutoff: float) -> RunConfig:
+    if cfg.vacuum is None:
+        raise ConfigError("--cutoff given but the config has no vacuum section")
+    if not cutoff > 0.0:
+        raise ConfigError(f"--cutoff: must be > 0, got {cutoff!r}")
+    return replace(cfg, vacuum=replace(cfg.vacuum, cutoff=cutoff))
+
+
+# option name -> (help, function that applies its value to the config)
+_OVERRIDES = {
+    "beta": ("override boost.beta from the config", _override_beta),
+    "cutoff": ("override vacuum.cutoff from the config", _override_cutoff),
 }
 
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.beta is not None:
-        try:
-            boost = BoostSpec(args.beta)
-        except ValueError as exc:
-            raise ConfigError(f"--beta: {exc}") from exc
-        cfg = replace(cfg, boost=boost)
-    if args.cutoff is not None:
-        if cfg.vacuum is None:
-            raise ConfigError("--cutoff given but the config has no vacuum section")
-        if not args.cutoff > 0.0:
-            raise ConfigError(f"--cutoff: must be > 0, got {args.cutoff!r}")
-        cfg = replace(
-            cfg,
-            vacuum=VacuumSpec(cfg.vacuum.grid_n, args.cutoff, cfg.vacuum.volume),
-        )
-    return cfg
+# subcommand -> (handler, help, the overrides it reads)
+_SUBCOMMANDS = {
+    "transform": (
+        cmd_transform, "boosted optical constants and consistency deltas", ("beta",)
+    ),
+    "expand-check": (
+        cmd_expand_check, "verify the first-order truncation is O(beta^2)", ()
+    ),
+    "velocity": (
+        cmd_velocity, "velocity equation terms, classical or vacuum-summed", ("cutoff",)
+    ),
+    "vacuum-sweep": (
+        cmd_vacuum_sweep,
+        "zero-point bilinear sums across cutoff or grid size",
+        ("cutoff",),
+    ),
+}
 
 
 @functools.cache
@@ -370,13 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
         " and zero-point mode sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("transform", "boosted optical constants and consistency deltas"),
-        ("expand-check", "verify the first-order truncation is O(beta^2)"),
-        ("velocity", "velocity equation terms, classical or vacuum-summed"),
-        ("vacuum-sweep", "zero-point bilinear sums across cutoff or grid size"),
-    ):
+    for name, (_, help_text, overrides) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("config", help="path to JSON config file")
         p.add_argument(
             "--format",
@@ -384,19 +340,21 @@ def _build_parser() -> argparse.ArgumentParser:
             default="csv",
             help="output format (default csv)",
         )
-        p.add_argument("--beta", type=float, default=None,
-                       help="override boost.beta from the config")
-        p.add_argument("--cutoff", type=float, default=None,
-                       help="override vacuum.cutoff from the config")
+        for option in overrides:
+            p.add_argument(f"--{option}", type=float, help=_OVERRIDES[option][0])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, _, overrides = _SUBCOMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        return _COMMANDS[args.command](cfg, args)
+        for option in overrides:
+            value = getattr(args, option)
+            if value is not None:
+                cfg = _OVERRIDES[option][1](cfg, value)
+        return handler(cfg, args)
     except (ConfigError, DegenerateGrid, NonFiniteResult) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

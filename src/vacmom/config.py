@@ -41,21 +41,15 @@ class RunConfig:
     sweep: SweepSpec | None
 
 
-def _expect_mapping(node, path):
+def _check_keys(node, allowed, required, path) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object, got {type(node).__name__}")
-
-
-def _reject_unknown(node: dict, allowed, path):
     unknown = sorted(set(node) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
-
-
-def _require(node: dict, key, path):
-    if key not in node:
-        raise ConfigError(f"{path}: missing required key '{key}'")
-    return node[key]
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"{path}: missing required key '{key}'")
 
 
 def _number(value, path) -> float:
@@ -63,97 +57,90 @@ def _number(value, path) -> float:
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
 
-def _integer(value, path) -> int:
+
+def _positive(value, path) -> float:
+    x = _number(value, path)
+    if not x > 0.0:
+        raise ConfigError(f"{path}: must be > 0, got {x!r}")
+    return x
+
+
+def _grid_n(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if not 2 <= value <= MAX_GRID_N:
+        raise ConfigError(
+            f"{path}: must lie in [2, MAX_GRID_N={MAX_GRID_N}], got {value}"
+        )
     return value
 
 
-def _number_list(value, count, path) -> list[float]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of {count} numbers")
-    if len(value) != count:
-        raise ConfigError(f"{path}: expected {count} numbers, got {len(value)}")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+def _numbers(count):
+    def parse(value, path) -> list[float]:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list of {count} numbers")
+        if len(value) != count:
+            raise ConfigError(f"{path}: expected {count} numbers, got {len(value)}")
+        return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return parse
 
 
-def _parse_material(node, path) -> Material:
-    _expect_mapping(node, path)
-    _reject_unknown(node, ("epsilon", "mu", "chi", "rho0"), path)
-    eps = _number(_require(node, "epsilon", path), f"{path}.epsilon")
-    mu = _number(_require(node, "mu", path), f"{path}.mu")
-    chi_raw = _number_list(_require(node, "chi", path), 9, f"{path}.chi")
-    rho0 = _number(_require(node, "rho0", path), f"{path}.rho0")
-    try:
-        return Material(eps, mu, Mat3(*chi_raw), rho0)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_boost(node, path) -> BoostSpec:
-    _expect_mapping(node, path)
-    _reject_unknown(node, ("beta",), path)
-    beta = _number(_require(node, "beta", path), f"{path}.beta")
-    try:
-        return BoostSpec(beta)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_fields(node, path) -> FieldState:
-    _expect_mapping(node, path)
-    _reject_unknown(node, ("E", "B"), path)
-    e = _number_list(_require(node, "E", path), 3, f"{path}.E")
-    b = _number_list(_require(node, "B", path), 3, f"{path}.B")
-    try:
-        return FieldState(Vec3(*e), Vec3(*b))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_vacuum(node, path) -> VacuumSpec:
-    _expect_mapping(node, path)
-    _reject_unknown(node, ("grid_n", "cutoff", "volume"), path)
-    grid_n = _integer(_require(node, "grid_n", path), f"{path}.grid_n")
-    cutoff = _number(_require(node, "cutoff", path), f"{path}.cutoff")
-    volume = _number(_require(node, "volume", path), f"{path}.volume")
-    if not 2 <= grid_n <= MAX_GRID_N:
+def _sweep_parameter(value, path) -> str:
+    if value not in _SWEEP_PARAMETERS:
         raise ConfigError(
-            f"{path}.grid_n: must lie in [2, MAX_GRID_N={MAX_GRID_N}], got {grid_n}"
+            f"{path}: must be one of {', '.join(_SWEEP_PARAMETERS)}, got {value!r}"
         )
-    if not cutoff > 0.0:
-        raise ConfigError(f"{path}.cutoff: must be > 0, got {cutoff!r}")
-    if not volume > 0.0:
-        raise ConfigError(f"{path}.volume: must be > 0, got {volume!r}")
-    return VacuumSpec(grid_n, cutoff, volume)
+    return value
 
 
-def _parse_sweep(node, path) -> SweepSpec:
-    _expect_mapping(node, path)
-    _reject_unknown(node, ("parameter", "values"), path)
-    parameter = _require(node, "parameter", path)
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"{path}.parameter: must be one of {', '.join(_SWEEP_PARAMETERS)},"
-            f" got {parameter!r}"
-        )
-    values = _require(node, "values", path)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{path}.values: expected a nonempty list of numbers")
-    parsed = tuple(_number(v, f"{path}.values[{i}]") for i, v in enumerate(values))
-    return SweepSpec(parameter, parsed)
+def _sweep_values(value, path) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list of numbers")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+# section -> (constructor, {key: parser of its value}). The section
+# names are the fields of RunConfig, and material, listed first, is the
+# only required section. Every key of a section is required, and the
+# parsed values reach the constructor in this order.
+_SCHEMA = {
+    "material": (
+        lambda epsilon, mu, chi, rho0: Material(epsilon, mu, Mat3(*chi), rho0),
+        {"epsilon": _number, "mu": _number, "chi": _numbers(9), "rho0": _number},
+    ),
+    "boost": (BoostSpec, {"beta": _number}),
+    "fields": (
+        lambda e, b: FieldState(Vec3(*e), Vec3(*b)),
+        {"E": _numbers(3), "B": _numbers(3)},
+    ),
+    "vacuum": (
+        VacuumSpec,
+        {"grid_n": _grid_n, "cutoff": _positive, "volume": _positive},
+    ),
+    "sweep": (SweepSpec, {"parameter": _sweep_parameter, "values": _sweep_values}),
+}
+_REQUIRED_SECTIONS = tuple(_SCHEMA)[:1]
+
+
+def _parse_section(name, node, path):
+    build, keys = _SCHEMA[name]
+    _check_keys(node, keys, keys, path)
+    values = [parse(node[key], f"{path}.{key}") for key, parse in keys.items()]
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(data, label: str = "config") -> RunConfig:
     """Validate a decoded JSON document into a RunConfig."""
-    _expect_mapping(data, label)
-    _reject_unknown(data, ("material", "boost", "fields", "vacuum", "sweep"), label)
-    material = _parse_material(_require(data, "material", label), f"{label}.material")
-    boost = _parse_boost(data["boost"], f"{label}.boost") if "boost" in data else None
-    fields = _parse_fields(data["fields"], f"{label}.fields") if "fields" in data else None
-    vacuum = _parse_vacuum(data["vacuum"], f"{label}.vacuum") if "vacuum" in data else None
-    sweep = _parse_sweep(data["sweep"], f"{label}.sweep") if "sweep" in data else None
-    return RunConfig(material, boost, fields, vacuum, sweep)
+    _check_keys(data, _SCHEMA, _REQUIRED_SECTIONS, label)
+    sections = {
+        name: _parse_section(name, data[name], f"{label}.{name}") if name in data else None
+        for name in _SCHEMA
+    }
+    return RunConfig(**sections)
 
 
 def load_config(path: str) -> RunConfig:
@@ -170,37 +157,23 @@ def load_config(path: str) -> RunConfig:
     return parse_config(data, label=path)
 
 
+def _plain(value):
+    # chi row-major and the field vectors and sweep values as flat lists
+    if isinstance(value, Mat3):
+        return [x for row in value.rows() for x in row]
+    if isinstance(value, Vec3):
+        return list(value.as_tuple())
+    return list(value) if isinstance(value, tuple) else value
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """Re-serialize a RunConfig into the schema it was parsed from.
 
     Floats pass through untouched, so emitting this dict as JSON and
     re-parsing reproduces the configuration bit for bit.
     """
-    m = cfg.material
-    out: dict = {
-        "material": {
-            "epsilon": m.epsilon,
-            "mu": m.mu,
-            "chi": [x for row in m.chi.rows() for x in row],
-            "rho0": m.rho0,
-        }
+    return {
+        name: {key: _plain(getattr(spec, key)) for key in keys}
+        for name, (_, keys) in _SCHEMA.items()
+        if (spec := getattr(cfg, name)) is not None
     }
-    if cfg.boost is not None:
-        out["boost"] = {"beta": cfg.boost.beta}
-    if cfg.fields is not None:
-        out["fields"] = {
-            "E": list(cfg.fields.E.as_tuple()),
-            "B": list(cfg.fields.B.as_tuple()),
-        }
-    if cfg.vacuum is not None:
-        out["vacuum"] = {
-            "grid_n": cfg.vacuum.grid_n,
-            "cutoff": cfg.vacuum.cutoff,
-            "volume": cfg.vacuum.volume,
-        }
-    if cfg.sweep is not None:
-        out["sweep"] = {
-            "parameter": cfg.sweep.parameter,
-            "values": list(cfg.sweep.values),
-        }
-    return out

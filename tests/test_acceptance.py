@@ -6,11 +6,15 @@ guarantee. Sample draws go through the seeded conftest generators so
 reruns check byte-identical configurations.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 
+import vacmom.cli as cli
 from conftest import draw_config, draw_fields, make_rng, src_env
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
@@ -214,32 +218,34 @@ def test_vacuum_isotropy_and_cutoff_scaling():
     assert 3.8 <= slopes["abs_b_dot_chiT_e"] <= 4.2
 
 
+_CLI_MATERIAL = {
+    "epsilon": 2.25,
+    "mu": 1.0,
+    "chi": [0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0],
+    "rho0": 1.0,
+}
+CLI_CONFIGS = {
+    "transform": {"material": _CLI_MATERIAL, "boost": {"beta": 0.123456789}},
+    "expand-check": {
+        "material": _CLI_MATERIAL,
+        "fields": {"E": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]},
+    },
+    "velocity": {
+        "material": _CLI_MATERIAL,
+        "vacuum": {"grid_n": 6, "cutoff": 1e5, "volume": 1.0},
+    },
+    "vacuum-sweep": {
+        "material": _CLI_MATERIAL,
+        "vacuum": {"grid_n": 4, "cutoff": 2e4, "volume": 1.0},
+        "sweep": {"parameter": "cutoff", "values": [2e4, 4e4]},
+    },
+}
+
+
 def test_cli_determinism(tmp_path):
     """Every subcommand is byte-deterministic on a fixed config and the
     JSON config echo round-trips bit for bit."""
-    material = {
-        "epsilon": 2.25,
-        "mu": 1.0,
-        "chi": [0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0],
-        "rho0": 1.0,
-    }
-    configs = {
-        "transform": {"material": material, "boost": {"beta": 0.123456789}},
-        "expand-check": {
-            "material": material,
-            "fields": {"E": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]},
-        },
-        "velocity": {
-            "material": material,
-            "vacuum": {"grid_n": 6, "cutoff": 1e5, "volume": 1.0},
-        },
-        "vacuum-sweep": {
-            "material": material,
-            "vacuum": {"grid_n": 4, "cutoff": 2e4, "volume": 1.0},
-            "sweep": {"parameter": "cutoff", "values": [2e4, 4e4]},
-        },
-    }
-    for command, cfg in configs.items():
+    for command, cfg in CLI_CONFIGS.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(cfg))
         for fmt in ("csv", "json"):
@@ -250,3 +256,45 @@ def test_cli_determinism(tmp_path):
         payload = json.loads(first.stdout)
         echoed = json.dumps(payload["config"])
         assert json.loads(echoed) == cfg, command
+
+
+# sha256 of stdout for each CLI_CONFIGS command and format, recorded
+# before the CLI kept its column, option and key names in one table each
+PINNED_STDOUT_SHA256 = {
+    ("transform", "csv"): "ba5f134515dc7c2c967aec64fa4a5dfb015ab658c610774cb92150e77e6c5b67",
+    ("transform", "json"): "e82cf54d39f5251ce29d96f6509f03342952174972b92c3a43acb10ab4163f33",
+    ("expand-check", "csv"): "e2ee6ab46100555952f2af14f8656245ebd19c4aeb79ee8e3a1d79b6ec79a520",
+    ("expand-check", "json"): "a0f6473eaf976d5fef8246bf36022a8ee3c7187d480c46e9b8c4f97c4f99b48c",
+    ("velocity", "csv"): "ca6d8f98c95be4d19000b7d491e574349eb02428a84e29c4d5699068cbb2bf94",
+    ("velocity", "json"): "fb344e1709991ebc35475166698e2da15b1e3d3c884e21f0f1f0809250d1c196",
+    ("vacuum-sweep", "csv"): "1ba9b952f6891a73d6396912890dc20ca216f8e6354919aa49db0c70732a43a8",
+    ("vacuum-sweep", "json"): "45d7e1123b98b6e8b4d5dece32cbcb8cd2307b87b1d26106144a7fd54d944200",
+}
+PINNED_CSV_HEADER = {
+    "transform": "beta,epsilon_prime,mu_prime,index_prime,impedance_ratio,"
+    "impedance_delta,index_delta",
+    "expand-check": "beta,residual,slope,derivative_delta,derivative_rel,identically_zero",
+    "velocity": "v_x,v_y,v_z,transverse_residual,am_x,am_y,am_z,chi_E_x,chi_E_y,"
+    "chi_E_z,chi_B_x,chi_B_y,chi_B_z,mu_term_z,term_ratio",
+    "vacuum-sweep": "sweep_parameter,sweep_value,mode_count,zero_point_energy,"
+    "e_cross_b_z,e_cross_chiT_e_z,b_cross_chi_b_z,b_dot_chiT_e,abs_e_cross_b,"
+    "abs_e_cross_chiT_e,abs_b_cross_chi_b,abs_b_dot_chiT_e,slope_abs_e_cross_b,"
+    "slope_abs_e_cross_chiT_e,slope_abs_b_cross_chi_b,slope_abs_b_dot_chiT_e",
+}
+
+
+def test_cli_bytes_pinned(tmp_path):
+    """Column order, formatting and the JSON layout of every subcommand
+    stay byte for byte what they were when pinned."""
+    for command, cfg in CLI_CONFIGS.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        for fmt in ("csv", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = cli.main([command, str(path), "--format", fmt])
+            assert rc == 0, (command, fmt)
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert digest == PINNED_STDOUT_SHA256[command, fmt], (command, fmt)
+            if fmt == "csv":
+                assert out.getvalue().split("\n", 1)[0] == PINNED_CSV_HEADER[command]

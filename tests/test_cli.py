@@ -746,12 +746,106 @@ def test_json_and_csv_agree_bitwise(tmp_path, capsys):
 
 
 def test_json_null_for_undefined_ratio(tmp_path, capsys):
-    fields = {"E": [0.0, 0.0, 0.0], "B": [0.0, 0.0, 0.0]}
-    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, "fields": fields})
-    rc, out, err = run_cli(capsys, ["velocity", path, "--format", "json"])
-    assert rc == 0
-    row = json.loads(out)["result"]["rows"][0]
-    assert row["term_ratio"] is None
+    vacuum_cfg = {"grid_n": 4, "cutoff": 1e5, "volume": 1.0}
+    cases = [
+        # the reference terms of term_ratio vanish
+        (
+            "velocity",
+            {"fields": {"E": [0.0, 0.0, 0.0], "B": [0.0, 0.0, 0.0]}},
+            ("term_ratio",),
+        ),
+        # a grid_n sweep fits no slope ...
+        (
+            "vacuum-sweep",
+            {"vacuum": vacuum_cfg, "sweep": {"parameter": "grid_n", "values": [4, 6]}},
+            tuple(f"slope_{name}" for name in vacuum.MAGNITUDE_CHANNELS),
+        ),
+        # ... and neither does a sweep of one cutoff
+        (
+            "vacuum-sweep",
+            {"vacuum": vacuum_cfg, "sweep": {"parameter": "cutoff", "values": [1e5]}},
+            tuple(f"slope_{name}" for name in vacuum.MAGNITUDE_CHANNELS),
+        ),
+        # every residual is 0 at chi = 0, so there is nothing to fit
+        (
+            "expand-check",
+            {"material": dict(GOLDEN_MATERIAL, chi=[0.0] * 9), "fields": CROSSED_FIELDS},
+            ("slope",),
+        ),
+    ]
+    for command, cfg, columns in cases:
+        path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, **cfg})
+        rc, out, err = run_cli(capsys, [command, path, "--format", "json"])
+        assert rc == 0, (command, err)
+        assert "NaN" not in out
+        rows = json.loads(out)["result"]["rows"]
+        assert rows
+        for row in rows:
+            for column in columns:
+                assert row[column] is None, (command, column)
+        rc, out, err = run_cli(capsys, [command, path])
+        for row in read_rows(out):
+            for column in columns:
+                assert row[column] == "nan", (command, column)
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("transform", "--cutoff"),
+        ("expand-check", "--beta"),
+        ("expand-check", "--cutoff"),
+        ("velocity", "--beta"),
+        ("vacuum-sweep", "--beta"),
+    ],
+)
+def test_override_a_subcommand_does_not_read_is_a_usage_error(tmp_path, command, option):
+    cfg = {
+        "material": GOLDEN_MATERIAL,
+        "boost": {"beta": 0.1},
+        "fields": CROSSED_FIELDS,
+        "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+        "sweep": {"parameter": "cutoff", "values": [1e5, 2e5]},
+    }
+    path = write_config(tmp_path, cfg)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, path, option, "0.3"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert f"unrecognized arguments: {option} 0.3" in err.getvalue()
+
+
+def test_vacuum_sweep_cutoff_override_changes_a_grid_sweep(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+            "sweep": {"parameter": "grid_n", "values": [4, 6]},
+        },
+    )
+    rc_a, out_a, _ = run_cli(capsys, ["vacuum-sweep", path])
+    rc_b, out_b, _ = run_cli(capsys, ["vacuum-sweep", path, "--cutoff", "5e4"])
+    assert rc_a == 0 and rc_b == 0
+    rows_a, rows_b = read_rows(out_a), read_rows(out_b)
+    assert [r["mode_count"] for r in rows_a] == [r["mode_count"] for r in rows_b]
+    for row_a, row_b in zip(rows_a, rows_b):
+        assert float(row_b["zero_point_energy"]) < float(row_a["zero_point_energy"])
+
+
+def test_expand_check_probe_stays_inside_the_boost_range(tmp_path, capsys):
+    # n = 1.05e6: a derivative probe at beta = -1e-6 would have
+    # 1 + n beta = -0.05, although every beta of the grid is positive
+    mat = dict(GOLDEN_MATERIAL, epsilon=1.1e12, mu=1.0)
+    path = write_config(tmp_path, {"material": mat, "fields": CROSSED_FIELDS})
+    rc, out, err = run_cli(capsys, ["expand-check", path])
+    assert rc in (0, 4), err
+    assert "degenerate boost" not in err
+    rows = read_rows(out)
+    assert [float(r["beta"]) for r in rows] == list(cli.DEFAULT_BETA_GRID)
+    assert all(math.isfinite(float(r["derivative_rel"])) for r in rows)
 
 
 def test_empty_mode_set_exit_code(tmp_path, capsys, monkeypatch):
@@ -785,6 +879,8 @@ def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch):
     )
     calls = [
         ["transform", transform, "--beta", "0.05"],
+        ["transform", transform, "--beta", "-1e-05"],  # a negative exponent form
+        ["transform", transform, "--beta=-1e-05"],
         ["transform", transform],  # the config's boost again
         ["velocity", vacuum_cfg, "--cutoff", "2e5"],
         ["velocity", vacuum_cfg],  # the config's cutoff again
@@ -914,8 +1010,10 @@ def _any_run(draw):
                 "parameter": "beta",
                 "values": draw(st.lists(_beta, min_size=1, max_size=3)),
             }
-        # --beta=x, because argparse reads "--beta -1e-05" as two options
-        flags = (f"--beta={draw(_beta)!r}",) if kind == "transform-beta" else ()
+        flags = ()
+        if kind == "transform-beta":
+            beta = repr(draw(_beta))
+            flags = draw(st.sampled_from(((f"--beta={beta}",), ("--beta", beta))))
         return "transform", cfg, flags
     if kind in ("expand-check", "classical"):
         cfg["fields"] = {"E": draw(_vector), "B": draw(_vector)}
@@ -967,6 +1065,10 @@ _UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
 @example(
     run=("expand-check", {"material": _UNDERFLOWING_INDEX, "fields": CROSSED_FIELDS}, ()),
     fmt="csv",
+)
+@example(
+    run=("transform", {"material": GOLDEN_MATERIAL}, ("--beta", "-1e-05")),
+    fmt="json",
 )
 def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, fmt):
     command, cfg, flags = run
