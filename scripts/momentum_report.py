@@ -59,7 +59,7 @@ def main():
     f = FieldState(Vec3(args.e0, 0.0, 0.0), Vec3(0.0, args.b0, 0.0))
     classical = medium_velocity(m, f)
     report("classical crossed fields", classical, term_ratio_of(classical))
-    check = lagrangian_consistency_check(m, f, 1e-4)
+    check = lagrangian_consistency_check(m, f)
     print(f"  Lagrangian consistency residual: {check:.3e}")
     print()
 

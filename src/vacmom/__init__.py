@@ -30,8 +30,6 @@ from .errors import (
     ConfigError,
     DegenerateBoost,
     DegenerateGrid,
-    DegenerateProbe,
-    DivisionDegenerate,
     EmptyModeSet,
     NonFiniteResult,
     VacmomError,
@@ -49,7 +47,6 @@ from .momentum import (
     VelocityResult,
     lagrangian_consistency_check,
     medium_velocity,
-    term_ratio,
     term_ratio_of,
     velocity_from_bilinears,
 )
@@ -79,8 +76,6 @@ __all__ = [
     "ConfigError",
     "DegenerateBoost",
     "DegenerateGrid",
-    "DegenerateProbe",
-    "DivisionDegenerate",
     "EmptyModeSet",
     "ExpansionReport",
     "FOUR_PI",
@@ -118,7 +113,6 @@ __all__ = [
     "medium_velocity",
     "parse_config",
     "scaling_slopes",
-    "term_ratio",
     "term_ratio_of",
     "transform_constants",
     "transform_fields",

@@ -1,4 +1,4 @@
-"""Small fixed-size real linear algebra, a least-squares slope, and the
+"""Small fixed-size real linear algebra, least-squares slopes, and the
 shared domain types.
 
 All values are immutable after construction and every operation is a
@@ -179,6 +179,12 @@ def fit_slope(xs, ys) -> float | None:
     if sxx == 0.0:
         return None
     return sxy / sxx
+
+
+def fit_loglog_slope(xs, ys) -> float | None:
+    """fit_slope of log y against log x over the points with y > 0."""
+    kept = [(x, y) for x, y in zip(xs, ys) if y > 0.0]
+    return fit_slope([math.log(x) for x, _ in kept], [math.log(y) for _, y in kept])
 
 
 @dataclass(frozen=True, slots=True)

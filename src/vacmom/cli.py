@@ -107,8 +107,17 @@ def _warn_longitudinal(f: FieldState) -> None:
             )
 
 
-def _boost_list(cfg: RunConfig) -> list[BoostSpec]:
+def _reject_superseded(args, option: str) -> None:
+    """A sweep of the parameter an override sets would silently win."""
+    if getattr(args, option) is not None:
+        raise ConfigError(
+            f"--{option} cannot override the {option} sweep given in sweep.values"
+        )
+
+
+def _boost_list(cfg: RunConfig, args) -> list[BoostSpec]:
     if cfg.sweep is not None and cfg.sweep.parameter == "beta":
+        _reject_superseded(args, "beta")
         boosts = []
         for v in cfg.sweep.values:
             try:
@@ -132,7 +141,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     m = cfg.material
     n = m.index
     rows = []
-    for boost in _boost_list(cfg):
+    for boost in _boost_list(cfg, args):
         tc = transform_constants(m, boost)
         # mu' is 0 where mu/eps underflows or beta = -n
         if tc.mu_prime == 0.0:
@@ -231,6 +240,7 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
     sweep = cfg.sweep
 
     if sweep.parameter == "cutoff":
+        _reject_superseded(args, "cutoff")
         try:
             entries = cutoff_sweep(m, vac.grid_n, sweep.values, vac.volume)
         except ValueError as exc:
@@ -285,8 +295,8 @@ def _override_beta(cfg: RunConfig, beta: float) -> RunConfig:
 def _override_cutoff(cfg: RunConfig, cutoff: float) -> RunConfig:
     if cfg.vacuum is None:
         raise ConfigError("--cutoff given but the config has no vacuum section")
-    if not cutoff > 0.0:
-        raise ConfigError(f"--cutoff: must be > 0, got {cutoff!r}")
+    if not 0.0 < cutoff < math.inf:
+        raise ConfigError(f"--cutoff: must be finite and > 0, got {cutoff!r}")
     return replace(cfg, vacuum=replace(cfg.vacuum, cutoff=cutoff))
 
 

@@ -9,6 +9,7 @@ ConfigError with a field path (or line/column for malformed JSON).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -60,8 +61,8 @@ def _number(value, path) -> float:
 
 def _positive(value, path) -> float:
     x = _number(value, path)
-    if not x > 0.0:
-        raise ConfigError(f"{path}: must be > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise ConfigError(f"{path}: must be finite and > 0, got {x!r}")
     return x
 
 

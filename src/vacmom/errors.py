@@ -13,14 +13,6 @@ class DegenerateGrid(VacmomError):
     """Expansion beta grid unusable: too few points, unsorted, or out of range."""
 
 
-class DegenerateProbe(VacmomError):
-    """Finite difference probe step outside the allowed range."""
-
-
-class DivisionDegenerate(VacmomError):
-    """Requested ratio has a vanishing denominator."""
-
-
 class EmptyModeSet(VacmomError):
     """No propagating modes survive the cutoff filter."""
 

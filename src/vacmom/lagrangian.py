@@ -28,7 +28,7 @@ from .algebra import (
     ZHAT,
     cross,
     dot,
-    fit_slope,
+    fit_loglog_slope,
     mat_apply,
 )
 from .errors import DegenerateGrid, NonFiniteResult
@@ -79,11 +79,11 @@ def me_density_first_order(m: Material, f: FieldState, b: BoostSpec) -> Lagrangi
     mu_correction (beta/mu) (n - 1/n) B . chi^T E
     """
     chi_t = m.chi.transpose()
-    bce = dot(f.B, mat_apply(chi_t, f.E))
+    chi_t_e = mat_apply(chi_t, f.E)
+    bce = dot(f.B, chi_t_e)
     zeroth = (1.0 / m.mu) * bce
     mixing = (b.beta / m.mu) * (
-        dot(f.B, mat_apply(chi_t, cross(ZHAT, f.B)))
-        + dot(cross(f.E, ZHAT), mat_apply(chi_t, f.E))
+        dot(f.B, mat_apply(chi_t, cross(ZHAT, f.B))) + dot(cross(f.E, ZHAT), chi_t_e)
     )
     n = m.index
     mu_correction = (b.beta / m.mu) * (n - 1.0 / n) * bce
@@ -104,13 +104,10 @@ def vector_form_density(m: Material, f: FieldState, b: BoostSpec) -> float:
     Excludes the beta-independent zeroth piece. Equals
     mixing + mu_correction of me_density_first_order up to round-off.
     """
-    chi_t = m.chi.transpose()
-    swirl = dot(
-        ZHAT,
-        cross(f.B, mat_apply(m.chi, f.B)) - cross(f.E, mat_apply(chi_t, f.E)),
-    )
+    chi_t_e = mat_apply(m.chi.transpose(), f.E)
+    swirl = dot(ZHAT, cross(f.B, mat_apply(m.chi, f.B)) - cross(f.E, chi_t_e))
     n = m.index
-    bce = dot(f.B, mat_apply(chi_t, f.E))
+    bce = dot(f.B, chi_t_e)
     return (b.beta / m.mu) * swirl + (b.beta / m.mu) * (n - 1.0 / n) * bce
 
 
@@ -180,22 +177,15 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
     scale = max(abs(fd), abs(rate))
     rel = delta / scale if scale > 0.0 else 0.0
 
-    points = [
-        (math.log(b), math.log(r))
-        for b, r in zip(grid, residuals)
-        if 0.0 < r < math.inf
-    ]
-    # a residual left out of the fit that is not 0 is nan or inf
-    if len(points) < len(grid) and len(points) + residuals.count(0.0) < len(grid):
+    # rejects nan as well as inf
+    if not all(r < math.inf for r in residuals):
         raise NonFiniteResult(_out_of_range(m, f))
-    identically_zero = len(points) == 0
-    slope = fit_slope([p[0] for p in points], [p[1] for p in points])
 
     return ExpansionReport(
         beta_grid=grid,
         residuals=tuple(residuals),
-        slope=slope,
+        slope=fit_loglog_slope(grid, residuals),
         derivative_delta=delta,
         derivative_rel=rel,
-        identically_zero=identically_zero,
+        identically_zero=not any(residuals),
     )

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from struct import Struct
 
-from .algebra import ZERO3, Material, Vec3, fit_slope
+from .algebra import ZERO3, Material, Vec3, fit_loglog_slope
 from .constants import C_LIGHT, HBAR
 from .errors import EmptyModeSet, NonFiniteResult
 
@@ -389,13 +389,9 @@ def scaling_slopes(sweep) -> dict[str, float]:
     slope is undefined: fewer than two cutoffs where it is nonzero, or
     only one distinct cutoff among them.
     """
+    cutoffs = [c for c, _ in sweep]
     slopes: dict[str, float] = {}
     for name in MAGNITUDE_CHANNELS:
-        pts = [
-            (math.log(c), math.log(getattr(s, name)))
-            for c, s in sweep
-            if getattr(s, name) > 0.0
-        ]
-        slope = fit_slope([p[0] for p in pts], [p[1] for p in pts])
+        slope = fit_loglog_slope(cutoffs, [getattr(s, name) for _, s in sweep])
         slopes[name] = math.nan if slope is None else slope
     return slopes

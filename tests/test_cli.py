@@ -835,6 +835,64 @@ def test_vacuum_sweep_cutoff_override_changes_a_grid_sweep(tmp_path, capsys):
         assert float(row_b["zero_point_energy"]) < float(row_a["zero_point_energy"])
 
 
+@pytest.mark.parametrize(
+    "command, cfg, option",
+    [
+        (
+            "transform",
+            {"sweep": {"parameter": "beta", "values": [0.1, 0.2]}},
+            "--beta",
+        ),
+        (
+            "vacuum-sweep",
+            {
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+                "sweep": {"parameter": "cutoff", "values": [1e5, 2e5]},
+            },
+            "--cutoff",
+        ),
+    ],
+    ids=["transform-beta-sweep", "vacuum-sweep-cutoff-sweep"],
+)
+def test_override_of_the_swept_parameter_is_config_error(
+    tmp_path, capsys, command, cfg, option
+):
+    # the sweep would win and the override would be silently dropped
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, **cfg})
+    rc, out, err = run_cli(capsys, [command, path, option, "0.5"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert option in err and "sweep" in err
+
+
+@pytest.mark.parametrize(
+    "command, vacuum_spec, flags, field",
+    [
+        ("velocity", {"cutoff": math.inf}, (), "vacuum.cutoff"),
+        ("velocity", {"volume": math.inf}, (), "vacuum.volume"),
+        ("vacuum-sweep", {"volume": math.inf}, (), "vacuum.volume"),
+        ("velocity", {}, ("--cutoff", "inf"), "--cutoff"),
+    ],
+    ids=["cutoff", "volume", "sweep-volume", "cutoff-override"],
+)
+def test_infinite_vacuum_size_is_config_error(
+    tmp_path, capsys, command, vacuum_spec, flags, field
+):
+    # json writes math.inf as the token Infinity, which json.load accepts
+    cfg = {
+        "material": GOLDEN_MATERIAL,
+        "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0, **vacuum_spec},
+        "sweep": {"parameter": "grid_n", "values": [4, 6]},
+    }
+    path = write_config(tmp_path, cfg)
+    rc, out, err = run_cli(capsys, [command, path, *flags])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert field in err and "finite" in err
+
+
 def test_expand_check_probe_stays_inside_the_boost_range(tmp_path, capsys):
     # n = 1.05e6: a derivative probe at beta = -1e-6 would have
     # 1 + n beta = -0.05, although every beta of the grid is positive

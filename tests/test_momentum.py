@@ -2,14 +2,10 @@
 
 import math
 
-import pytest
-
 from conftest import draw_config, make_rng
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
     BoostSpec,
-    DegenerateProbe,
-    DivisionDegenerate,
     FieldState,
     Mat3,
     Material,
@@ -23,7 +19,6 @@ from vacmom import (
     mat_apply,
     medium_velocity,
     me_density_first_order,
-    term_ratio,
     term_ratio_of,
 )
 
@@ -83,7 +78,7 @@ def test_classical_golden_attribution():
     assert math.isclose(res.chi_B_term.z, 2.654418729438072e-16, rel_tol=1e-13)
     assert math.isclose(res.mu_term_z, -2.2120156078650602e-16, rel_tol=1e-13)
     assert math.isclose(res.v_z, 3.3183330939826914e-12, rel_tol=1e-13)
-    ratio = term_ratio(M_GOLDEN, F_GOLDEN)
+    ratio = term_ratio_of(res)
     assert math.isclose(ratio, 6.665600170639365e-05, rel_tol=1e-13)
 
 
@@ -162,24 +157,15 @@ def test_magnetic_reversal_flips_signed_terms():
 
 
 def test_term_ratio_golden_and_degenerate():
-    assert term_ratio(M_GOLDEN, F_GOLDEN) > 0.0
-    assert term_ratio_of(medium_velocity(M_GOLDEN, F_GOLDEN)) == term_ratio(M_GOLDEN, F_GOLDEN)
+    assert term_ratio_of(medium_velocity(M_GOLDEN, F_GOLDEN)) > 0.0
     zero = Vec3(0.0, 0.0, 0.0)
-    with pytest.raises(DivisionDegenerate):
-        term_ratio(M_GOLDEN, FieldState(zero, zero))
     assert term_ratio_of(medium_velocity(M_GOLDEN, FieldState(zero, zero))) is None
-
-
-def test_consistency_check_probe_validation():
-    for bad in (0.0, -1e-4, 2e-3, 0.5):
-        with pytest.raises(DegenerateProbe):
-            lagrangian_consistency_check(M_GOLDEN, F_GOLDEN, bad)
 
 
 def test_consistency_check_without_coupling():
     m = Material(2.25, 1.3, Mat3.zero(), 1.0)
     f = FieldState(Vec3(0.3, -0.2, 0.1), Vec3(1.0, 0.4, -0.6))
-    assert lagrangian_consistency_check(m, f, 1e-4) == 0.0
+    assert lagrangian_consistency_check(m, f) == 0.0
 
 
 def test_consistency_check_small_on_seeded_configs():
@@ -188,17 +174,15 @@ def test_consistency_check_small_on_seeded_configs():
         m, f = draw_config(rng)
         res = medium_velocity(m, f)
         scale = abs(res.chi_E_term.z) + abs(res.chi_B_term.z) + abs(res.mu_term_z)
-        check = lagrangian_consistency_check(m, f, 1e-4)
+        check = lagrangian_consistency_check(m, f)
         rel = check / scale if scale > 0.0 else 0.0
         assert rel <= 1e-8
 
 
 def test_consistency_check_scales_quadratically_with_fields():
     m, f = draw_config(make_rng(3))
-    a = lagrangian_consistency_check(m, f, 1e-4)
-    b = lagrangian_consistency_check(
-        m, FieldState(f.E.scale(10.0), f.B.scale(10.0)), 1e-4
-    )
+    a = lagrangian_consistency_check(m, f)
+    b = lagrangian_consistency_check(m, FieldState(f.E.scale(10.0), f.B.scale(10.0)))
     # the residual is roundoff on a quadratic-in-fields quantity
     assert b <= 200.0 * a + 1e-25
 

@@ -1,5 +1,6 @@
-"""The example scripts run to completion with their default arguments."""
+"""The example scripts and the README quick tour run to completion."""
 
+import re
 import subprocess
 import sys
 
@@ -21,3 +22,16 @@ def test_script_runs_with_defaults(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    result = subprocess.run(
+        [sys.executable, "-c", tour],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
