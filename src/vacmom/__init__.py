@@ -15,14 +15,11 @@ from .algebra import (
     Mat3,
     Material,
     Vec3,
-    XHAT,
-    YHAT,
     ZERO3,
     ZHAT,
     cross,
     dot,
     mat_apply,
-    triple,
 )
 from .config import RunConfig, SweepSpec, VacuumSpec, load_config, parse_config
 from .constants import C_LIGHT, FOUR_PI, HBAR
@@ -95,8 +92,6 @@ __all__ = [
     "VacuumSpec",
     "Vec3",
     "VelocityResult",
-    "XHAT",
-    "YHAT",
     "ZERO3",
     "ZHAT",
     "build_mode_set",
@@ -116,7 +111,6 @@ __all__ = [
     "term_ratio_of",
     "transform_constants",
     "transform_fields",
-    "triple",
     "vacuum_bilinears",
     "vector_form_density",
     "velocity_from_bilinears",

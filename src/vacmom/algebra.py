@@ -38,22 +38,14 @@ class Vec3:
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
     def scale(self, s: float) -> "Vec3":
         return Vec3(s * self.x, s * self.y, s * self.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)
-XHAT = Vec3(1.0, 0.0, 0.0)
-YHAT = Vec3(0.0, 1.0, 0.0)
 ZHAT = Vec3(0.0, 0.0, 1.0)
 
 
@@ -74,11 +66,6 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
         a.z * b.x - a.x * b.z,
         a.x * b.y - a.y * b.x,
     )
-
-
-def triple(a: Vec3, b: Vec3, c: Vec3) -> float:
-    """Scalar triple product a . (b x c)."""
-    return dot(a, cross(b, c))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,21 +91,8 @@ class Mat3:
         )
 
     @classmethod
-    def from_rows(cls, rows) -> "Mat3":
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return cls(a, b, c, d, e, f, g, h, i)
-
-    @classmethod
-    def identity(cls) -> "Mat3":
-        return cls(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-    @classmethod
     def zero(cls) -> "Mat3":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def diagonal(cls, a: float, b: float, c: float) -> "Mat3":
-        return cls(a, 0.0, 0.0, 0.0, b, 0.0, 0.0, 0.0, c)
 
     def transpose(self) -> "Mat3":
         return Mat3(
@@ -133,18 +107,6 @@ class Mat3:
             (self.yx, self.yy, self.yz),
             (self.zx, self.zy, self.zz),
         )
-
-    def symmetric_part(self) -> "Mat3":
-        t = self.transpose()
-        return Mat3(*(0.5 * (u + v) for u, v in zip(_entries(self), _entries(t))))
-
-    def antisymmetric_part(self) -> "Mat3":
-        t = self.transpose()
-        return Mat3(*(0.5 * (u - v) for u, v in zip(_entries(self), _entries(t))))
-
-
-def _entries(m: Mat3):
-    return (m.xx, m.xy, m.xz, m.yx, m.yy, m.yz, m.zx, m.zy, m.zz)
 
 
 def mat_apply(m: Mat3, v: Vec3) -> Vec3:

@@ -5,8 +5,10 @@ reads one JSON config file, writes CSV (default) or JSON to stdout and
 diagnostics to stderr, and uses the exit code contract
 
     0  success
+    1  stdout was closed before all output was written
     2  configuration error (parse, schema, or value rejection, including
-       values whose results leave the float range)
+       values whose results leave the float range and sweeps of a
+       parameter the subcommand does not read)
     3  degenerate boost (1 + n beta <= 0)
     4  expansion-order verification failed (expand-check only)
     5  empty vacuum mode set
@@ -24,6 +26,7 @@ import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import replace
@@ -116,8 +119,12 @@ def _reject_superseded(args, option: str) -> None:
 
 
 def _boost_list(cfg: RunConfig, args) -> list[BoostSpec]:
-    if cfg.sweep is not None and cfg.sweep.parameter == "beta":
+    if cfg.sweep is not None:
         _reject_superseded(args, "beta")
+        if cfg.boost is not None:
+            raise ConfigError(
+                "boost.beta cannot be combined with the beta sweep given in sweep.values"
+            )
         boosts = []
         for v in cfg.sweep.values:
             try:
@@ -171,10 +178,7 @@ def cmd_expand_check(cfg: RunConfig, args) -> int:
     if cfg.fields is None:
         raise ConfigError("expand-check requires a fields section")
     _warn_longitudinal(cfg.fields)
-    if cfg.sweep is not None and cfg.sweep.parameter == "beta":
-        grid = cfg.sweep.values
-    else:
-        grid = DEFAULT_BETA_GRID
+    grid = DEFAULT_BETA_GRID if cfg.sweep is None else cfg.sweep.values
     report = verify_expansion(cfg.material, cfg.fields, grid)
     rows = [
         (
@@ -246,9 +250,10 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
         except ValueError as exc:
             raise ConfigError(f"sweep.values: {exc}") from exc
         slopes = scaling_slopes(entries)
-    elif sweep.parameter == "grid_n":
-        # every value is checked before any grid is built; the range test
-        # comes first, so int() never meets inf or nan
+    else:
+        # a grid_n sweep: every value is checked before any grid is
+        # built; the range test comes first, so int() never meets inf
+        # or nan
         for v in sweep.values:
             if not (2 <= v <= MAX_GRID_N and v == int(v)):
                 raise ConfigError(
@@ -260,11 +265,6 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
             ms = build_mode_set(m, int(v), vac.cutoff, vac.volume)
             entries.append((int(v), vacuum_bilinears(ms, m)))
         slopes = dict.fromkeys(MAGNITUDE_CHANNELS)
-    else:
-        raise ConfigError(
-            "vacuum-sweep supports sweeping 'cutoff' or 'grid_n',"
-            f" got {sweep.parameter!r}"
-        )
 
     rows = [
         (
@@ -306,21 +306,32 @@ _OVERRIDES = {
     "cutoff": ("override vacuum.cutoff from the config", _override_cutoff),
 }
 
-# subcommand -> (handler, help, the overrides it reads)
+# subcommand -> (handler, help, the overrides it reads, the sweep
+# parameters it reads)
 _SUBCOMMANDS = {
     "transform": (
-        cmd_transform, "boosted optical constants and consistency deltas", ("beta",)
+        cmd_transform,
+        "boosted optical constants and consistency deltas",
+        ("beta",),
+        ("beta",),
     ),
     "expand-check": (
-        cmd_expand_check, "verify the first-order truncation is O(beta^2)", ()
+        cmd_expand_check,
+        "verify the first-order truncation is O(beta^2)",
+        (),
+        ("beta",),
     ),
     "velocity": (
-        cmd_velocity, "velocity equation terms, classical or vacuum-summed", ("cutoff",)
+        cmd_velocity,
+        "velocity equation terms, classical or vacuum-summed",
+        ("cutoff",),
+        (),
     ),
     "vacuum-sweep": (
         cmd_vacuum_sweep,
         "zero-point bilinear sums across cutoff or grid size",
         ("cutoff",),
+        ("cutoff", "grid_n"),
     ),
 }
 
@@ -340,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         " and zero-point mode sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, overrides) in _SUBCOMMANDS.items():
+    for name, (_, help_text, overrides, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("config", help="path to JSON config file")
@@ -357,14 +368,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, _, overrides = _SUBCOMMANDS[args.command]
+    handler, _, overrides, sweeps = _SUBCOMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         for option in overrides:
             value = getattr(args, option)
             if value is not None:
                 cfg = _OVERRIDES[option][1](cfg, value)
-        return handler(cfg, args)
+        if cfg.sweep is not None and cfg.sweep.parameter not in sweeps:
+            raise ConfigError(
+                f"{args.command} does not read a {cfg.sweep.parameter!r} sweep"
+                f" (it sweeps: {', '.join(sweeps) or 'nothing'})"
+            )
+        code = handler(cfg, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; pointing fd 1 at devnull keeps the
+        # flush at interpreter exit from reporting the same error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ConfigError, DegenerateGrid, NonFiniteResult) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -105,17 +105,6 @@ class ModeSet:
     grid_n: int
 
     @property
-    def pairs(self) -> tuple[tuple[float, float, float], ...]:
-        """One wavevector per +/-k pair, each pair once."""
-        return tuple(
-            pair
-            for kx, ky, kz, count in self.orbits
-            for pair in (
-                (kx, ky, kz), (kx, ky, -kz), (kx, -ky, kz), (kx, -ky, -kz)
-            )[:count]
-        )
-
-    @property
     def mode_count(self) -> int:
         return 4 * sum(orbit[3] for orbit in self.orbits)
 

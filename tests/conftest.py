@@ -1,11 +1,15 @@
-"""Shared random-sample helpers for the test suite.
+"""Shared random-sample and vector helpers for the test suite.
 
 The seeded generators below are part of the frozen test contract: the
 acceptance tests draw their configuration samples through these exact
 calls (numpy default_rng, draw order epsilon, mu, chi, E, B), so the
 sampled configurations are reproducible byte for byte.
+
+The basis vectors, norm, negation and diagonal matrices below are used
+by the tests only, so they live here rather than in the library.
 """
 
+import math
 import os
 import pathlib
 
@@ -14,6 +18,21 @@ import numpy as np
 from vacmom import FieldState, Mat3, Material, Vec3
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+XHAT = Vec3(1.0, 0.0, 0.0)
+YHAT = Vec3(0.0, 1.0, 0.0)
+
+
+def norm(v: Vec3) -> float:
+    return math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+
+
+def neg(v: Vec3) -> Vec3:
+    return Vec3(-v.x, -v.y, -v.z)
+
+
+def diagonal(a: float, b: float, c: float) -> Mat3:
+    return Mat3(a, 0.0, 0.0, 0.0, b, 0.0, 0.0, 0.0, c)
 
 
 def src_env() -> dict:
@@ -33,7 +52,7 @@ def draw_material(rng, eps_lo=0.3, eps_hi=4.0, chi_scale=0.5, rho0=1.0):
     eps = float(rng.uniform(eps_lo, eps_hi))
     mu = float(rng.uniform(eps_lo, eps_hi))
     chi = rng.uniform(-chi_scale, chi_scale, (3, 3))
-    return Material(eps, mu, Mat3.from_rows(chi.tolist()), rho0)
+    return Material(eps, mu, Mat3(*chi.ravel().tolist()), rho0)
 
 
 def draw_fields(rng, scale=1.0):

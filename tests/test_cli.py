@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -694,17 +695,55 @@ def test_vacuum_sweep_rejects_fractional_grid(tmp_path, capsys):
     assert "grid_n" in err
 
 
-def test_vacuum_sweep_rejects_beta_parameter(tmp_path, capsys):
+# each command with a sweep of a parameter it does not read
+_UNREAD_SWEEPS = {
+    "transform": ("cutoff", "grid_n"),
+    "expand-check": ("cutoff", "grid_n"),
+    "velocity": ("beta", "cutoff", "grid_n"),
+    "vacuum-sweep": ("beta",),
+}
+
+
+@pytest.mark.parametrize(
+    "command, parameter",
+    [(c, p) for c, params in _UNREAD_SWEEPS.items() for p in params],
+    ids=lambda v: v,
+)
+def test_unread_sweep_is_config_error(tmp_path, capsys, command, parameter):
+    # every other section a command may read is present, so without the
+    # check it would run and drop the sweep
     path = write_config(
         tmp_path,
         {
             "material": GOLDEN_MATERIAL,
+            "boost": {"beta": 0.1},
+            "fields": CROSSED_FIELDS,
             "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+            "sweep": {"parameter": parameter, "values": [4]},
+        },
+    )
+    rc, out, err = run_cli(capsys, [command, path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert command in err and repr(parameter) in err
+
+
+def test_boost_with_a_beta_sweep_is_config_error(tmp_path, capsys):
+    # the sweep would win and boost.beta would be silently dropped
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "boost": {"beta": 0.3},
             "sweep": {"parameter": "beta", "values": [0.1]},
         },
     )
-    rc, out, err = run_cli(capsys, ["vacuum-sweep", path])
+    rc, out, err = run_cli(capsys, ["transform", path])
     assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "boost.beta" in err and "sweep" in err
 
 
 def test_vacuum_sweep_requires_sections(tmp_path, capsys):
@@ -1005,6 +1044,33 @@ def test_cli_process_builds_one_parser_and_never_imports_statistics(tmp_path):
     assert result.stdout.splitlines() == ["0 1 [0, 0]", "[]", "True"]
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
+    # buffered, the write succeeds and the flush fails; unbuffered, the
+    # write itself fails
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, "fields": CROSSED_FIELDS})
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "vacmom", "expand-check", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+
+
 def test_repeated_runs_are_identical(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -1042,10 +1108,22 @@ _beta_grid = st.lists(
 def _any_run(draw):
     """One run of any command: (command, config, extra argv).
 
-    transform (config boost, beta sweep or --beta), expand-check (default
-    or drawn grid), velocity (vacuum or classical) and vacuum-sweep
-    (cutoff or grid_n).
+    transform (config boost, beta sweep, both or --beta), expand-check
+    (default or drawn grid), velocity (vacuum or classical) and
+    vacuum-sweep (cutoff or grid_n); in about one draw of five the sweep
+    is replaced by one of a parameter the command does not read.
     """
+    command, cfg, flags = draw(_run_of_each_command())
+    if draw(st.integers(0, 4)) == 4:
+        cfg["sweep"] = {
+            "parameter": draw(st.sampled_from(_UNREAD_SWEEPS[command])),
+            "values": draw(st.lists(_signed, min_size=1, max_size=3)),
+        }
+    return command, cfg, flags
+
+
+@st.composite
+def _run_of_each_command(draw):
     cfg = {
         "material": {
             "epsilon": draw(_magnitude),
@@ -1061,9 +1139,10 @@ def _any_run(draw):
         )
     )
     if kind.startswith("transform"):
-        if draw(st.booleans()):
+        sections = draw(st.sampled_from((("boost",), ("sweep",), ("boost", "sweep"))))
+        if "boost" in sections:
             cfg["boost"] = {"beta": draw(_beta)}
-        else:
+        if "sweep" in sections:
             cfg["sweep"] = {
                 "parameter": "beta",
                 "values": draw(st.lists(_beta, min_size=1, max_size=3)),

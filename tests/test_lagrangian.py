@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_config, make_rng
+from conftest import XHAT, YHAT, diagonal, draw_config, make_rng
 from vacmom import (
     BoostSpec,
     DegenerateGrid,
@@ -14,8 +14,6 @@ from vacmom import (
     Mat3,
     Material,
     Vec3,
-    XHAT,
-    YHAT,
     isolate_mu_term,
     mat_apply,
     dot,
@@ -70,7 +68,7 @@ def test_first_order_golden_pieces():
 
 
 def test_mu_correction_closed_form_golden():
-    m = Material(2.25, 1.0, Mat3.diagonal(1e-3, 1e-3, 1e-3), 1.0)
+    m = Material(2.25, 1.0, diagonal(1e-3, 1e-3, 1e-3), 1.0)
     bk = me_density_first_order(m, FieldState(XHAT, XHAT), BoostSpec(0.01))
     assert math.isclose(bk.mu_correction, 8.333333333333334e-06, rel_tol=1e-14)
 
@@ -97,7 +95,7 @@ def test_vector_form_zero_boost():
 
 def test_vector_form_scalar_chi_leaves_only_mu_correction():
     # for chi = c*I both cross products involve parallel vectors
-    m = Material(2.25, 1.0, Mat3.diagonal(0.2, 0.2, 0.2), 1.0)
+    m = Material(2.25, 1.0, diagonal(0.2, 0.2, 0.2), 1.0)
     f = FieldState(Vec3(0.3, -0.4, 0.1), Vec3(0.7, 0.2, -0.5))
     b = BoostSpec(0.03)
     bk = me_density_first_order(m, f, b)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import YHAT
 from vacmom import (
     BoostSpec,
     DegenerateBoost,
@@ -13,7 +14,6 @@ from vacmom import (
     Mat3,
     Material,
     Vec3,
-    YHAT,
     index_of,
     transform_constants,
     transform_fields,
