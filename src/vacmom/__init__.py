@@ -20,6 +20,7 @@ from .algebra import (
     cross,
     dot,
     mat_apply,
+    mat_t_apply,
 )
 from .config import RunConfig, SweepSpec, VacuumSpec, load_config, parse_config
 from .constants import C_LIGHT, FOUR_PI, HBAR
@@ -103,6 +104,7 @@ __all__ = [
     "lagrangian_consistency_check",
     "load_config",
     "mat_apply",
+    "mat_t_apply",
     "me_density_exact",
     "me_density_first_order",
     "medium_velocity",

@@ -1,9 +1,12 @@
 """Small fixed-size real linear algebra, least-squares slopes, and the
 shared domain types.
 
-All values are immutable after construction and every operation is a
-pure function, so everything here is safe to share across threads or
-processes without locking.
+The domain types here and the records of the other modules are
+immutable named tuples: they unpack and iterate in field order, and
+they compare equal to a plain tuple of the same values. The validated
+types check their values in __new__, and _make and _replace go
+through it too. Every operation is a pure function, so everything here
+is safe to share across threads or processes without locking.
 
 Units are Gaussian (CGS): E in statvolt/cm, B in gauss, mass density in
 g/cm^3. Direction vectors and the susceptibility tensor chi are
@@ -14,7 +17,10 @@ stores only the dimensionless speed beta = v/c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+_isfinite = math.isfinite
+_new = tuple.__new__
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -23,14 +29,25 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
+def _checked(typename: str, field_names: str):
+    """A namedtuple base whose _make, and so _replace, calls the class.
 
-    def __post_init__(self):
-        _require_finite("Vec3 component", self.x, self.y, self.z)
+    The plain namedtuple _make builds the tuple directly and would skip
+    the validation a subclass __new__ does.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Vec3(_checked("Vec3", "x y z")):
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float):
+        # the hot record: test inline, call the helper only for its message
+        if not (_isfinite(x) and _isfinite(y) and _isfinite(z)):
+            _require_finite("Vec3 component", x, y, z)
+        return _new(cls, (x, y, z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -42,7 +59,7 @@ class Vec3:
         return Vec3(s * self.x, s * self.y, s * self.z)
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+        return tuple(self)
 
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)
@@ -68,57 +85,40 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Mat3:
+class Mat3(_checked("Mat3", "xx xy xz yx yy yz zx zy zz")):
     """3x3 real matrix, row-major fields xx..zz (row then column)."""
 
-    xx: float
-    xy: float
-    xz: float
-    yx: float
-    yy: float
-    yz: float
-    zx: float
-    zy: float
-    zz: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite(
-            "Mat3 entry",
-            self.xx, self.xy, self.xz,
-            self.yx, self.yy, self.yz,
-            self.zx, self.zy, self.zz,
-        )
+    def __new__(cls, xx, xy, xz, yx, yy, yz, zx, zy, zz):
+        entries = (xx, xy, xz, yx, yy, yz, zx, zy, zz)
+        _require_finite("Mat3 entry", *entries)
+        return _new(cls, entries)
 
     @classmethod
     def zero(cls) -> "Mat3":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def transpose(self) -> "Mat3":
-        return Mat3(
-            self.xx, self.yx, self.zx,
-            self.xy, self.yy, self.zy,
-            self.xz, self.yz, self.zz,
-        )
-
     def rows(self):
-        return (
-            (self.xx, self.xy, self.xz),
-            (self.yx, self.yy, self.yz),
-            (self.zx, self.zy, self.zz),
-        )
+        return self[0:3], self[3:6], self[6:9]
 
 
 def mat_apply(m: Mat3, v: Vec3) -> Vec3:
-    """Matrix-vector product M v (column-vector semantics).
-
-    mat_apply(m.transpose(), v) therefore realizes v^T M, which is how
-    the chi^T couplings are written out.
-    """
+    """Matrix-vector product M v (column-vector semantics)."""
     return Vec3(
         m.xx * v.x + m.xy * v.y + m.xz * v.z,
         m.yx * v.x + m.yy * v.y + m.yz * v.z,
         m.zx * v.x + m.zy * v.y + m.zz * v.z,
+    )
+
+
+def mat_t_apply(m: Mat3, v: Vec3) -> Vec3:
+    """M^T v (that is v^T M) without building M^T: each component is the
+    sum mat_apply forms at the transposed matrix, in the same order."""
+    return Vec3(
+        m.xx * v.x + m.yx * v.y + m.zx * v.z,
+        m.xy * v.x + m.yy * v.y + m.zy * v.z,
+        m.xz * v.x + m.yz * v.y + m.zz * v.z,
     )
 
 
@@ -149,8 +149,7 @@ def fit_loglog_slope(xs, ys) -> float | None:
     return fit_slope([math.log(x) for x, _ in kept], [math.log(y) for _, y in kept])
 
 
-@dataclass(frozen=True, slots=True)
-class Material:
+class Material(_checked("Material", "epsilon mu chi rho0")):
     """Intrinsic medium parameters in its rest frame.
 
     epsilon, mu: scalar permittivity and permeability (dimensionless,
@@ -158,19 +157,17 @@ class Material:
     no symmetry imposed. rho0: rest mass density in g/cm^3.
     """
 
-    epsilon: float
-    mu: float
-    chi: Mat3
-    rho0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("Material parameter", self.epsilon, self.mu, self.rho0)
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon!r}")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
-        if self.rho0 <= 0.0:
-            raise ValueError(f"rho0 must be > 0, got {self.rho0!r}")
+    def __new__(cls, epsilon: float, mu: float, chi: Mat3, rho0: float):
+        _require_finite("Material parameter", epsilon, mu, rho0)
+        if epsilon <= 0.0:
+            raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
+        if mu <= 0.0:
+            raise ValueError(f"mu must be > 0, got {mu!r}")
+        if rho0 <= 0.0:
+            raise ValueError(f"rho0 must be > 0, got {rho0!r}")
+        return _new(cls, (epsilon, mu, chi, rho0))
 
     @property
     def index(self) -> float:
@@ -178,21 +175,19 @@ class Material:
         return math.sqrt(self.epsilon * self.mu)
 
 
-@dataclass(frozen=True, slots=True)
-class BoostSpec:
+class BoostSpec(_checked("BoostSpec", "beta")):
     """Uniform boost along +z at speed beta = v/c, |beta| < 1."""
 
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("beta", self.beta)
-        if not abs(self.beta) < 1.0:
-            raise ValueError(f"|beta| must be < 1, got {self.beta!r}")
+    def __new__(cls, beta: float):
+        _require_finite("beta", beta)
+        if not abs(beta) < 1.0:
+            raise ValueError(f"|beta| must be < 1, got {beta!r}")
+        return _new(cls, (beta,))
 
 
-@dataclass(frozen=True, slots=True)
-class FieldState:
+class FieldState(namedtuple("FieldState", "E B")):
     """Lab-frame field pair: E in statvolt/cm, B in gauss."""
 
-    E: Vec3
-    B: Vec3
+    __slots__ = ()

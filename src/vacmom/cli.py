@@ -29,10 +29,9 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 
 from .algebra import BoostSpec, FieldState, Material
-from .config import RunConfig, config_to_dict, load_config
+from .config import RunConfig, VacuumSpec, config_to_dict, load_config
 from .errors import (
     ConfigError,
     DegenerateBoost,
@@ -287,9 +286,10 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
 
 def _override_beta(cfg: RunConfig, beta: float) -> RunConfig:
     try:
-        return replace(cfg, boost=BoostSpec(beta))
+        boost = BoostSpec(beta)
     except ValueError as exc:
         raise ConfigError(f"--beta: {exc}") from exc
+    return RunConfig(cfg.material, boost, cfg.fields, cfg.vacuum, cfg.sweep)
 
 
 def _override_cutoff(cfg: RunConfig, cutoff: float) -> RunConfig:
@@ -297,7 +297,8 @@ def _override_cutoff(cfg: RunConfig, cutoff: float) -> RunConfig:
         raise ConfigError("--cutoff given but the config has no vacuum section")
     if not 0.0 < cutoff < math.inf:
         raise ConfigError(f"--cutoff: must be finite and > 0, got {cutoff!r}")
-    return replace(cfg, vacuum=replace(cfg.vacuum, cutoff=cutoff))
+    vacuum = VacuumSpec(cfg.vacuum.grid_n, cutoff, cfg.vacuum.volume)
+    return RunConfig(cfg.material, cfg.boost, cfg.fields, vacuum, cfg.sweep)
 
 
 # option name -> (help, function that applies its value to the config)
@@ -367,9 +368,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler, _, overrides, sweeps = _SUBCOMMANDS[args.command]
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:
+            # --help prints and exits in parse_args: flush to catch a closed stdout
+            sys.stdout.flush()
+            raise
+        handler, _, overrides, sweeps = _SUBCOMMANDS[args.command]
         cfg = load_config(args.config)
         for option in overrides:
             value = getattr(args, option)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Real
 
 from .algebra import BoostSpec, FieldState, Mat3, Material, Vec3
@@ -20,26 +20,16 @@ from .vacuum import MAX_GRID_N
 _SWEEP_PARAMETERS = ("beta", "cutoff", "grid_n")
 
 
-@dataclass(frozen=True, slots=True)
-class VacuumSpec:
-    grid_n: int
-    cutoff: float
-    volume: float
+class VacuumSpec(namedtuple("VacuumSpec", "grid_n cutoff volume")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SweepSpec:
-    parameter: str
-    values: tuple[float, ...]
+class SweepSpec(namedtuple("SweepSpec", "parameter values")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    material: Material
-    boost: BoostSpec | None
-    fields: FieldState | None
-    vacuum: VacuumSpec | None
-    sweep: SweepSpec | None
+class RunConfig(namedtuple("RunConfig", "material boost fields vacuum sweep")):
+    __slots__ = ()
 
 
 def _check_keys(node, allowed, required, path) -> None:
@@ -159,11 +149,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def _plain(value):
-    # chi row-major and the field vectors and sweep values as flat lists
-    if isinstance(value, Mat3):
-        return [x for row in value.rows() for x in row]
-    if isinstance(value, Vec3):
-        return list(value.as_tuple())
+    # chi (row-major), the field vectors and sweep values as flat lists
     return list(value) if isinstance(value, tuple) else value
 
 

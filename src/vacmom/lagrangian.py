@@ -19,7 +19,7 @@ the momentum module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (
     BoostSpec,
@@ -30,6 +30,7 @@ from .algebra import (
     dot,
     fit_loglog_slope,
     mat_apply,
+    mat_t_apply,
 )
 from .errors import DegenerateGrid, NonFiniteResult
 from .relativity import transform_constants, transform_fields
@@ -40,35 +41,32 @@ from .relativity import transform_constants, transform_fields
 _FD_STEP = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class LagrangianBreakdown:
+class LagrangianBreakdown(
+    namedtuple("LagrangianBreakdown", "zeroth mixing mu_correction total_first_order")
+):
     """Named pieces of the first-order interaction density.
 
     total_first_order is always the literal sum of the three pieces,
     assembled once at construction and never re-derived.
     """
 
-    zeroth: float
-    mixing: float
-    mu_correction: float
-    total_first_order: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ExpansionReport:
-    beta_grid: tuple[float, ...]
-    residuals: tuple[float, ...]
-    slope: float | None
-    derivative_delta: float
-    derivative_rel: float
-    identically_zero: bool
+class ExpansionReport(
+    namedtuple(
+        "ExpansionReport",
+        "beta_grid residuals slope derivative_delta derivative_rel identically_zero",
+    )
+):
+    __slots__ = ()
 
 
 def me_density_exact(m: Material, f: FieldState, b: BoostSpec) -> float:
     """(1/mu'(beta)) B' . chi^T E' with exact transforms throughout."""
     tc = transform_constants(m, b)
     fp = transform_fields(f, b, "exact")
-    return (1.0 / tc.mu_prime) * dot(fp.B, mat_apply(m.chi.transpose(), fp.E))
+    return (1.0 / tc.mu_prime) * dot(fp.B, mat_t_apply(m.chi, fp.E))
 
 
 def me_density_first_order(m: Material, f: FieldState, b: BoostSpec) -> LagrangianBreakdown:
@@ -78,12 +76,12 @@ def me_density_first_order(m: Material, f: FieldState, b: BoostSpec) -> Lagrangi
     mixing        (beta/mu) [B . chi^T (z x B) + (E x z) . chi^T E]
     mu_correction (beta/mu) (n - 1/n) B . chi^T E
     """
-    chi_t = m.chi.transpose()
-    chi_t_e = mat_apply(chi_t, f.E)
+    chi_t_e = mat_t_apply(m.chi, f.E)
     bce = dot(f.B, chi_t_e)
     zeroth = (1.0 / m.mu) * bce
     mixing = (b.beta / m.mu) * (
-        dot(f.B, mat_apply(chi_t, cross(ZHAT, f.B))) + dot(cross(f.E, ZHAT), chi_t_e)
+        dot(f.B, mat_t_apply(m.chi, cross(ZHAT, f.B)))
+        + dot(cross(f.E, ZHAT), chi_t_e)
     )
     n = m.index
     mu_correction = (b.beta / m.mu) * (n - 1.0 / n) * bce
@@ -104,7 +102,7 @@ def vector_form_density(m: Material, f: FieldState, b: BoostSpec) -> float:
     Excludes the beta-independent zeroth piece. Equals
     mixing + mu_correction of me_density_first_order up to round-off.
     """
-    chi_t_e = mat_apply(m.chi.transpose(), f.E)
+    chi_t_e = mat_t_apply(m.chi, f.E)
     swirl = dot(ZHAT, cross(f.B, mat_apply(m.chi, f.B)) - cross(f.E, chi_t_e))
     n = m.index
     bce = dot(f.B, chi_t_e)
@@ -118,7 +116,7 @@ def isolate_mu_term(m: Material, f: FieldState, b: BoostSpec) -> float:
     reproduces mu_correction up to O(beta^2).
     """
     tc = transform_constants(m, b)
-    bce = dot(f.B, mat_apply(m.chi.transpose(), f.E))
+    bce = dot(f.B, mat_t_apply(m.chi, f.E))
     return (1.0 / tc.mu_prime - 1.0 / m.mu) * bce
 
 

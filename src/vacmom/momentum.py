@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import BoostSpec, FieldState, Material, Vec3, cross, dot, mat_apply
+from .algebra import (
+    BoostSpec, FieldState, Material, Vec3, cross, dot, mat_apply, mat_t_apply
+)
 from .constants import C_LIGHT, FOUR_PI
 from .errors import NonFiniteResult
 from .lagrangian import vector_form_density
@@ -31,8 +33,13 @@ from .lagrangian import vector_form_density
 _RATIO_FLOOR = 1e-300
 
 
-@dataclass(frozen=True, slots=True)
-class VelocityResult:
+class VelocityResult(
+    namedtuple(
+        "VelocityResult",
+        "rhs_vector v_z abraham_minkowski_term chi_E_term chi_B_term mu_term_z"
+        " transverse_residual",
+    )
+):
     """Full right-hand side of the velocity equation and its breakdown.
 
     The three vector terms and mu_term_z are momentum densities
@@ -41,13 +48,7 @@ class VelocityResult:
     (x, y) part of rhs_vector.
     """
 
-    rhs_vector: Vec3
-    v_z: float
-    abraham_minkowski_term: Vec3
-    chi_E_term: Vec3
-    chi_B_term: Vec3
-    mu_term_z: float
-    transverse_residual: float
+    __slots__ = ()
 
 
 def velocity_from_bilinears(
@@ -119,7 +120,7 @@ def medium_velocity(m: Material, f: FieldState) -> VelocityResult:
     Raises NonFiniteResult if a field bilinear leaves the float range.
     """
     try:
-        chi_t_e = mat_apply(m.chi.transpose(), f.E)
+        chi_t_e = mat_t_apply(m.chi, f.E)
         e_cross_b = cross(f.E, f.B)
         e_cross_chiT_e = cross(f.E, chi_t_e)
         b_cross_chi_b = cross(f.B, mat_apply(m.chi, f.B))

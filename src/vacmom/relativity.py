@@ -20,17 +20,16 @@ warns when inputs violate that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import BoostSpec, FieldState, Material, Vec3, cross
+from .algebra import BoostSpec, FieldState, Material, Vec3
 from .errors import DegenerateBoost
 
 
-@dataclass(frozen=True, slots=True)
-class TransformedConstants:
-    epsilon_prime: float
-    mu_prime: float
-    beta: float
+class TransformedConstants(
+    namedtuple("TransformedConstants", "epsilon_prime mu_prime beta")
+):
+    __slots__ = ()
 
 
 def transform_constants(m: Material, b: BoostSpec) -> TransformedConstants:
@@ -78,14 +77,20 @@ def transform_fields(f: FieldState, b: BoostSpec, order: str = "exact") -> Field
     """
     if order not in ("exact", "first_order"):
         raise ValueError(f"order must be 'exact' or 'first_order', got {order!r}")
-    bvec = Vec3(0.0, 0.0, b.beta)
+    # (beta z) x B and (beta z) x E with the 0.0 products of cross(): each
+    # operation is that of the vector form, in its order, signed zeros too
+    beta = b.beta
+    ex, ey, ez = f.E
+    bx, by, bz = f.B
+    zbx, zby, zbz = 0.0 * bz - beta * by, beta * bx - 0.0 * bz, 0.0 * by - 0.0 * bx
+    zex, zey, zez = 0.0 * ez - beta * ey, beta * ex - 0.0 * ez, 0.0 * ey - 0.0 * ex
     if order == "first_order":
-        return FieldState(f.E + cross(bvec, f.B), f.B - cross(bvec, f.E))
-    gamma = 1.0 / math.sqrt(1.0 - b.beta * b.beta)
-    e_par = Vec3(0.0, 0.0, f.E.z)
-    b_par = Vec3(0.0, 0.0, f.B.z)
-    e_perp = Vec3(f.E.x, f.E.y, 0.0)
-    b_perp = Vec3(f.B.x, f.B.y, 0.0)
-    e_new = e_par + (e_perp + cross(bvec, f.B)).scale(gamma)
-    b_new = b_par + (b_perp - cross(bvec, f.E)).scale(gamma)
-    return FieldState(e_new, b_new)
+        return FieldState(
+            Vec3(ex + zbx, ey + zby, ez + zbz), Vec3(bx - zex, by - zey, bz - zez)
+        )
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    # E_par + gamma (E_perp + beta z x B) and B_par + gamma (B_perp - beta z x E)
+    return FieldState(
+        Vec3(0.0 + g * (ex + zbx), 0.0 + g * (ey + zby), ez + g * (0.0 + zbz)),
+        Vec3(0.0 + g * (bx - zex), 0.0 + g * (by - zey), bz + g * (0.0 - zez)),
+    )

@@ -62,6 +62,7 @@ A sum that leaves the float range raises NonFiniteResult.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, product
 from struct import Struct
@@ -88,8 +89,7 @@ MAGNITUDE_CHANNELS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ModeSet:
+class ModeSet(namedtuple("ModeSet", "orbits cutoff volume grid_n")):
     """The wavevectors (kx, ky, kz) in rad/cm of a grid, grouped in orbits.
 
     An entry (kx, ky, kz, count) of orbits stands for the first count of
@@ -97,12 +97,10 @@ class ModeSet:
     (kx, -ky, -kz), and each pair for k and -k, two polarization modes
     each. A ModeSet therefore counts four modes per pair. The sums
     treat any entry this way, whether or not build_mode_set made it.
+    orbits is a tuple of such entries.
     """
 
-    orbits: tuple[tuple[float, float, float, int], ...]
-    cutoff: float
-    volume: float
-    grid_n: int
+    __slots__ = ()
 
     @property
     def mode_count(self) -> int:

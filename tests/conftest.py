@@ -5,8 +5,9 @@ acceptance tests draw their configuration samples through these exact
 calls (numpy default_rng, draw order epsilon, mu, chi, E, B), so the
 sampled configurations are reproducible byte for byte.
 
-The basis vectors, norm, negation and diagonal matrices below are used
-by the tests only, so they live here rather than in the library.
+The basis vectors, norm, negation, diagonal matrices and the transpose
+below are used by the tests only, so they live here rather than in the
+library.
 """
 
 import math
@@ -33,6 +34,10 @@ def neg(v: Vec3) -> Vec3:
 
 def diagonal(a: float, b: float, c: float) -> Mat3:
     return Mat3(a, 0.0, 0.0, 0.0, b, 0.0, 0.0, 0.0, c)
+
+
+def transpose(m: Mat3) -> Mat3:
+    return Mat3(m.xx, m.yx, m.zx, m.xy, m.yy, m.zy, m.xz, m.yz, m.zz)
 
 
 def src_env() -> dict:

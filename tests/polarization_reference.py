@@ -18,7 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from conftest import XHAT, norm
+from conftest import XHAT, norm, transpose
 from vacmom import BilinearSums, Material, ModeSet, Vec3, ZHAT, cross, dot, mat_apply
 from vacmom.constants import C_LIGHT, HBAR
 
@@ -71,7 +71,7 @@ def modes(k, m: Material, volume: float, theta: float = 0.0) -> tuple[Mode, Mode
 
 def wavevector_bilinears(k, m: Material, volume: float, theta: float = 0.0):
     """(E x B, E x chi^T E, B x chi B, B . chi^T E) summed over the modes of k."""
-    chi_t = m.chi.transpose()
+    chi_t = transpose(m.chi)
     exb = exce = bxcb = Vec3(0.0, 0.0, 0.0)
     bce = 0.0
     for mode in modes(k, m, volume, theta):

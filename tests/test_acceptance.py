@@ -298,3 +298,66 @@ def test_cli_bytes_pinned(tmp_path):
             assert digest == PINNED_STDOUT_SHA256[command, fmt], (command, fmt)
             if fmt == "csv":
                 assert out.getvalue().split("\n", 1)[0] == PINNED_CSV_HEADER[command]
+
+
+# n = sqrt(0.99) < 1 / 0.95, so the boost at beta = -0.95 is not degenerate
+_EDGE_MATERIAL = {
+    "epsilon": 1.1,
+    "mu": 0.9,
+    "chi": [0.3, -0.7, 0.2, 0.5, -0.1, 0.4, -0.6, 0.25, 0.15],
+    "rho0": 2.5,
+}
+EDGE_FIELDS = {
+    "signed-zero": {"E": [-0.0, 1.25, -0.0], "B": [0.75, -0.0, 0.0]},
+    "longitudinal": {"E": [0.3, -0.7, 0.9], "B": [-1.1, 0.4, -0.6]},
+    "huge": {"E": [1e150, -3e149, 2e149], "B": [-2e150, 5e149, 0.0]},
+    "tiny": {"E": [1e-150, 2e-150, -0.0], "B": [-3e-150, 0.0, 1e-150]},
+}
+EDGE_CONFIGS = {
+    ("transform", "beta-0.95"): {
+        "material": _EDGE_MATERIAL,
+        "sweep": {"parameter": "beta", "values": [-0.95, 0.95]},
+    },
+    **{
+        (command, name): {"material": _EDGE_MATERIAL, "fields": fields}
+        for name, fields in EDGE_FIELDS.items()
+        for command in ("expand-check", "velocity")
+    },
+}
+# (exit code, sha256 of stdout) per command, config and format, recorded
+# while the records were still dataclasses and the boost was still
+# composed of Vec3 operations
+PINNED_EDGE_STDOUT = {
+    ("transform", "beta-0.95", "csv"): (0, "967c160fb89b0d368b7f6685756a47f13c8710650b708744fe4ed7adac94e453"),
+    ("transform", "beta-0.95", "json"): (0, "f5204e9ec6e77f989771246ccb7e2b3c4e120431e66a7cc340998a8d41c2caeb"),
+    ("expand-check", "signed-zero", "csv"): (0, "ce9503ca07f8368d72baa3d0cb3aa7586a337de5ef4d39d2d48b3d4d584eab80"),
+    ("expand-check", "signed-zero", "json"): (0, "27e3fc1c51d3e609eb8c436c4c8e5431ff25b5100883f288c31687c6c87ec861"),
+    ("velocity", "signed-zero", "csv"): (0, "3971c7a9c95187a482eff5dcbee13de704fa51d66f7d0b47365b6217733ac325"),
+    ("velocity", "signed-zero", "json"): (0, "a6196128c9e7e75f206cce00bcec822e2ba1235b82f1feaef1aac13114c031e6"),
+    ("expand-check", "longitudinal", "csv"): (0, "e7691ddbb499dc92b4dc900d8da3ef30ea1168b5f51316baece45a4f1f63ee32"),
+    ("expand-check", "longitudinal", "json"): (0, "1ca1fb7d07d1ce1ceb77f6c151f002709ac910c15e4cea287f665a01290c9b47"),
+    ("velocity", "longitudinal", "csv"): (0, "0f34e80739c5523190951ccdf2671fdadee609016190cd5301eb3efaae3656dc"),
+    ("velocity", "longitudinal", "json"): (0, "24e31e4428c29779462503e9b052ac85a4e05fcb553228d24cf9b016f1f6c895"),
+    ("expand-check", "huge", "csv"): (0, "29fd66e300d5d09927a8c5ee4296e8be50dc5f5cc0b6b639f90101e38d5d4993"),
+    ("expand-check", "huge", "json"): (0, "66aa72ce461c80e66a64fef9ececf1c67354bc1409164946a100de8784438c39"),
+    ("velocity", "huge", "csv"): (0, "b057abef644af106df390c645bd07bab0db9e9e3e2b3a8ed479419362d92bfae"),
+    ("velocity", "huge", "json"): (0, "3814deaf8ac61a36b0049f915f8dfda7b3e16b7d1eed3a1158dded69622ee528"),
+    ("expand-check", "tiny", "csv"): (0, "ff97808dc0e7a50beaa11831d8fec7a0b2697d9ca32222304e7d708eee5af306"),
+    ("expand-check", "tiny", "json"): (0, "8b19cde0469f9d135a009ad9a2e116746ba1c243638c432304a77e7450c10cff"),
+    ("velocity", "tiny", "csv"): (0, "3fa78e26db2c77beed0a5c52e4fc8c1af201c800128fa765fb52d664220291b1"),
+    ("velocity", "tiny", "json"): (0, "114e7ef9493ea1d92a9f5aa1ce84d05a38da7c163d14a4dfb8e77e003d2b137c"),
+}
+
+
+def test_cli_edge_bytes_pinned(tmp_path):
+    """Signed zeros, longitudinal components, fields near 1e+-150 and
+    boosts at beta = +-0.95 give the bytes they gave when pinned."""
+    for (command, name), cfg in EDGE_CONFIGS.items():
+        path = tmp_path / f"{command}-{name}.json"
+        path.write_text(json.dumps(cfg))
+        for fmt in ("csv", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main([command, str(path), "--format", fmt])
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert (rc, digest) == PINNED_EDGE_STDOUT[command, name, fmt], (command, name, fmt)

@@ -1,6 +1,9 @@
 """Vector and matrix primitives plus domain type validation."""
 
+import dataclasses
+import importlib
 import math
+import pkgutil
 import statistics
 import sys
 
@@ -8,22 +11,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import XHAT, YHAT, diagonal, neg, norm
+import vacmom
+from conftest import XHAT, YHAT, diagonal, neg, norm, transpose
 from vacmom import (
+    BilinearSums,
     BoostSpec,
+    FieldState,
     Mat3,
     Material,
     Vec3,
     ZHAT,
+    build_mode_set,
     cross,
     dot,
     mat_apply,
+    mat_t_apply,
+    medium_velocity,
+    me_density_first_order,
+    parse_config,
+    transform_constants,
+    verify_expansion,
 )
 from vacmom.algebra import fit_slope
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 vectors = st.builds(Vec3, finite, finite, finite)
 matrices = st.builds(Mat3, *([finite] * 9))
+# signed zeros, subnormals and magnitudes whose products still fit a float
+wide = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
 
 
 def test_dot_examples():
@@ -75,9 +90,10 @@ def test_triple_cyclic(a, b, c):
     assert abs(_triple(a, b, c) - _triple(c, a, b)) <= 1e-12 * max(scale, 1e-30)
 
 
-@given(matrices)
-def test_transpose_involution_exact(m):
-    assert m.transpose().transpose() == m
+@given(st.builds(Mat3, *([wide] * 9)), st.builds(Vec3, wide, wide, wide))
+def test_mat_t_apply_is_mat_apply_of_the_transpose_bitwise(m, v):
+    got = [c.hex() for c in mat_t_apply(m, v)]
+    assert got == [c.hex() for c in mat_apply(transpose(m), v)]
 
 
 def test_vec3_rejects_non_finite():
@@ -164,3 +180,119 @@ def test_fit_slope_matches_statistics(points):
         sxx = math.fsum((x - xbar) ** 2 for x in xs)
         syy = math.fsum((y - ybar) ** 2 for y in ys)
         assert math.isclose(slope, reference, rel_tol=1e-12, abs_tol=1e-12 * math.sqrt(syy / sxx))
+
+
+# (valid record, field changes that make it invalid, the ValueError message)
+_NAN, _INF = float("nan"), float("inf")
+_V = Vec3(1.0, 2.0, 3.0)
+_M = Mat3(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
+_MAT = Material(2.25, 1.0, _M, 1.0)
+_B = BoostSpec(0.5)
+INVALID = [
+    (_V, {"x": _NAN}, "Vec3 component must be finite, got nan"),
+    (_V, {"y": -_INF}, "Vec3 component must be finite, got -inf"),
+    (_V, {"z": _INF}, "Vec3 component must be finite, got inf"),
+    (_M, {"yy": _NAN}, "Mat3 entry must be finite, got nan"),
+    (_M, {"zz": -_INF}, "Mat3 entry must be finite, got -inf"),
+    (_MAT, {"epsilon": _INF}, "Material parameter must be finite, got inf"),
+    (_MAT, {"rho0": _NAN}, "Material parameter must be finite, got nan"),
+    (_MAT, {"epsilon": 0.0}, "epsilon must be > 0, got 0.0"),
+    (_MAT, {"mu": -2.0}, "mu must be > 0, got -2.0"),
+    (_MAT, {"rho0": -0.0}, "rho0 must be > 0, got -0.0"),
+    (_B, {"beta": _NAN}, "beta must be finite, got nan"),
+    (_B, {"beta": -_INF}, "beta must be finite, got -inf"),
+    (_B, {"beta": 1.0}, "|beta| must be < 1, got 1.0"),
+    (_B, {"beta": -1.2}, "|beta| must be < 1, got -1.2"),
+]
+
+
+@pytest.mark.parametrize("how", ["positional", "keyword", "_make", "_replace"])
+@pytest.mark.parametrize(
+    "valid, changes, message",
+    INVALID,
+    ids=[f"{type(v).__name__}-{k}={x}" for v, c, _ in INVALID for k, x in c.items()],
+)
+def test_every_construction_path_validates(valid, changes, message, how):
+    # a plain namedtuple _make, which _replace calls, skips __new__
+    cls = type(valid)
+    values = {**valid._asdict(), **changes}
+    build = {
+        "positional": lambda: cls(*values.values()),
+        "keyword": lambda: cls(**values),
+        "_make": lambda: cls._make(values.values()),
+        "_replace": lambda: valid._replace(**changes),
+    }[how]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_valid_records_rebuild_through_every_path():
+    for valid in (_V, _M, _MAT, _B):
+        cls = type(valid)
+        assert cls._make(valid) == valid == cls(**valid._asdict())
+        assert type(valid._replace()) is cls
+
+
+def _records():
+    """One instance of every record type of the library except BilinearSums."""
+    cfg = parse_config(
+        {
+            "material": {"epsilon": 2.25, "mu": 1.0, "chi": list(_M), "rho0": 1.0},
+            "fields": {"E": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]},
+            "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+            "sweep": {"parameter": "beta", "values": [1e-3, 1e-2, 3e-2]},
+        }
+    )
+    m, f = cfg.material, cfg.fields
+    return [
+        f.E,
+        m.chi,
+        m,
+        _B,
+        f,
+        transform_constants(m, _B),
+        me_density_first_order(m, f, _B),
+        verify_expansion(m, f, cfg.sweep.values),
+        medium_velocity(m, f),
+        cfg.vacuum,
+        cfg.sweep,
+        cfg,
+        build_mode_set(m, 4, 1e5, 1.0),
+    ]
+
+
+def test_records_are_immutable():
+    records = _records()
+    assert len({type(r) for r in records}) == 13
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], getattr(record, record._fields[-1]))
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+
+def test_records_are_tuples_with_signed_zero_reprs():
+    v = Vec3(0.0, -0.0, 1.0)
+    assert repr(v) == "Vec3(x=0.0, y=-0.0, z=1.0)"
+    assert repr(FieldState(v, Vec3(-0.0, 0.0, -0.0))) == (
+        "FieldState(E=Vec3(x=0.0, y=-0.0, z=1.0), B=Vec3(x=-0.0, y=0.0, z=-0.0))"
+    )
+    assert repr(BoostSpec(-0.0)) == "BoostSpec(beta=-0.0)"
+    x, y, z = v
+    assert (x, y, z) == v == (0.0, 0.0, 1.0)
+    assert hash(v) == hash((0.0, 0.0, 1.0))
+    assert _M.rows() == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0))
+
+
+def test_bilinear_sums_is_the_only_dataclass():
+    # a record that turns back into a dataclass shows only as import time
+    classes = {
+        obj
+        for info in pkgutil.iter_modules(vacmom.__path__)
+        if info.name != "__main__"
+        for obj in vars(importlib.import_module(f"vacmom.{info.name}")).values()
+        if isinstance(obj, type) and obj.__module__.startswith("vacmom.")
+    }
+    assert [c for c in classes if dataclasses.is_dataclass(c)] == [BilinearSums]
+    assert len(classes) > 13

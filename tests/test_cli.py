@@ -1044,11 +1044,8 @@ def test_cli_process_builds_one_parser_and_never_imports_statistics(tmp_path):
     assert result.stdout.splitlines() == ["0 1 [0, 0]", "[]", "True"]
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
-    # buffered, the write succeeds and the flush fails; unbuffered, the
-    # write itself fails
-    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, "fields": CROSSED_FIELDS})
+def _run_into_closed_stdout(argv, unbuffered):
+    """Run the CLI in a subprocess whose stdout is a pipe with no reader."""
     env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -1056,8 +1053,8 @@ def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "vacmom", "expand-check", path],
+        return subprocess.run(
+            [sys.executable, "-m", "vacmom", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
@@ -1066,9 +1063,29 @@ def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
+    # buffered, the write succeeds and the flush fails; unbuffered, the
+    # write itself fails
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, "fields": CROSSED_FIELDS})
+    result = _run_into_closed_stdout(["expand-check", path], unbuffered)
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["velocity", "--help"]])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_into_closed_stdout_is_quiet(argv, unbuffered):
+    # argparse prints the help and exits inside parse_args; buffered,
+    # the flush fails and exits 1, unbuffered, argparse drops the error
+    result = _run_into_closed_stdout(argv, unbuffered)
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+    if not unbuffered:
+        assert result.returncode == 1
 
 
 def test_repeated_runs_are_identical(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import XHAT, YHAT, diagonal, draw_config, make_rng
+from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, transpose
 from vacmom import (
     BoostSpec,
     DegenerateGrid,
@@ -34,7 +34,7 @@ F_GOLDEN = FieldState(XHAT, YHAT)
 def test_exact_density_zero_boost_reduces_to_rest_term():
     b = BoostSpec(0.0)
     expected = (1.0 / M_GOLDEN.mu) * dot(
-        F_GOLDEN.B, mat_apply(M_GOLDEN.chi.transpose(), F_GOLDEN.E)
+        F_GOLDEN.B, mat_apply(transpose(M_GOLDEN.chi), F_GOLDEN.E)
     )
     assert me_density_exact(M_GOLDEN, F_GOLDEN, b) == expected
 
@@ -229,7 +229,7 @@ def test_isolate_mu_term_tracks_mu_correction():
     chi = Mat3(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     m = Material(2.25, 1.0, chi, 1.0)
     f = FieldState(XHAT, YHAT)
-    assert dot(f.B, mat_apply(m.chi.transpose(), f.E)) == 1.0
+    assert dot(f.B, mat_apply(transpose(m.chi), f.E)) == 1.0
     b = BoostSpec(1e-3)
     iso = isolate_mu_term(m, f, b)
     muc = me_density_first_order(m, f, b).mu_correction

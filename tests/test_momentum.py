@@ -2,7 +2,7 @@
 
 import math
 
-from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, neg
+from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, neg, transpose
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
     BoostSpec,
@@ -31,7 +31,7 @@ def _rotate_z(v, c, s):
 
 def _rotate_mat_z(m, c, s):
     r = Mat3(c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)
-    rt = r.transpose()
+    rt = transpose(r)
     cols = tuple(mat_apply(m, Vec3(*col)) for col in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     rot_cols = tuple(mat_apply(r, w) for w in cols)
     # build R m R^T column by column: columns of m R^T are R applied to
@@ -135,7 +135,7 @@ def test_axial_fields_leave_only_mu_term():
     assert res.abraham_minkowski_term == Vec3(0.0, 0.0, 0.0)
     assert res.chi_E_term == Vec3(0.0, 0.0, 0.0)
     assert res.chi_B_term == Vec3(0.0, 0.0, 0.0)
-    bce = dot(f.B, mat_apply(m.chi.transpose(), f.E))
+    bce = dot(f.B, mat_apply(transpose(m.chi), f.E))
     n = m.index
     want = -(n - 1.0 / n) * bce / (FOUR_PI * m.mu * C_LIGHT)
     assert math.isclose(res.v_z, want, rel_tol=1e-14)

@@ -14,6 +14,7 @@ from vacmom import (
     Mat3,
     Material,
     Vec3,
+    cross,
     index_of,
     transform_constants,
     transform_fields,
@@ -152,3 +153,47 @@ def test_exact_transform_round_trip(e, b, beta):
     for u, v in ((back.E, f.E), (back.B, f.B)):
         for x, y in zip(u.as_tuple(), v.as_tuple()):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+def _vector_form(f, beta, order):
+    """transform_fields in Vec3 operations: the reference its float
+    arithmetic must match bit for bit, signed zeros included."""
+    bvec = Vec3(0.0, 0.0, beta)
+    if order == "first_order":
+        return FieldState(f.E + cross(bvec, f.B), f.B - cross(bvec, f.E))
+    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+    e_par, e_perp = Vec3(0.0, 0.0, f.E.z), Vec3(f.E.x, f.E.y, 0.0)
+    b_par, b_perp = Vec3(0.0, 0.0, f.B.z), Vec3(f.B.x, f.B.y, 0.0)
+    return FieldState(
+        e_par + (e_perp + cross(bvec, f.B)).scale(gamma),
+        b_par + (b_perp - cross(bvec, f.E)).scale(gamma),
+    )
+
+
+# signed zeros and magnitudes from 1e-300 to 1e300, where the 0.0
+# products and additions of the vector form decide the zeros' signs
+_signed = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+_vectors = st.builds(Vec3, _signed, _signed, _signed)
+
+
+@settings(max_examples=300)
+@given(
+    _vectors,
+    _vectors,
+    st.one_of(st.sampled_from((0.0, -0.0, 0.95, -0.95)), st.floats(-0.99, 0.99)),
+    st.sampled_from(("exact", "first_order")),
+)
+def test_transform_fields_is_the_vector_form_bitwise(e, b, beta, order):
+    f = FieldState(e, b)
+    try:
+        want = _vector_form(f, beta, order)
+    except ValueError:  # a component overflows
+        with pytest.raises(ValueError):
+            transform_fields(f, BoostSpec(beta), order)
+        return
+    got = transform_fields(f, BoostSpec(beta), order)
+    for u, v in ((got.E, want.E), (got.B, want.B)):
+        assert [c.hex() for c in u.as_tuple()] == [c.hex() for c in v.as_tuple()]
