@@ -29,6 +29,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import BoostSpec, FieldState, Material
 from .config import RunConfig, VacuumSpec, config_to_dict, load_config
@@ -72,6 +73,38 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _flat_json(depth: int):
+    """The C-backed encoder of a container of scalars at this depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2), byte for byte, for str-keyed dicts.
+
+    json.dumps indents with its pure-Python encoder; here Python lays
+    out only the containers of containers, and the C encoder the rest.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return _flat_json(depth)(value)
+    inner = "\n" + "  " * (depth + 1)
+    children = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(c, _CONTAINERS) for c in children):
+        # the C encoder writes no line break after "[" and before "]"
+        text = _flat_json(depth)(value)
+        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(v, depth + 1)}" for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    items = [_json(v, depth + 1) for v in value]
+    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+
+
 def _emit(cfg: RunConfig, args, rows) -> None:
     """Write rows of (column, value) pairs; the first row names the columns."""
     header = [column for column, _ in rows[0]]
@@ -85,7 +118,7 @@ def _emit(cfg: RunConfig, args, rows) -> None:
                 "rows": [{c: None if v != v else v for c, v in row} for row in rows],
             },
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -337,15 +370,21 @@ _SUBCOMMANDS = {
 }
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process.
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's print_help drops the OSError of a closed stdout
+        (sys.stdout if file is None else file).write(self.format_help())
 
-    parse_args gives a fresh Namespace on every call and writes usage
-    and errors to sys.stdout and sys.stderr as they are at that call,
-    so reusing the parser leaves every call's output unchanged.
+
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its subparsers by name, built once per process.
+
+    Parsing gives a fresh Namespace on every call and writes usage and
+    errors to sys.stdout and sys.stderr as they are at that call, so
+    reusing the parsers leaves every call's output unchanged.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vacmom",
         description="Momentum of a moving magnetoelectric medium:"
         " constant transforms, expansion checks, velocity terms,"
@@ -364,13 +403,28 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for option in overrides:
             p.add_argument(f"--{option}", type=float, help=_OVERRIDES[option][0])
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """parser.parse_args(argv), handing argv straight to a subparser it names."""
+    parser, subparsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    # what the top-level parser does after it picks the subparser
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit:
             # --help prints and exits in parse_args: flush to catch a closed stdout
             sys.stdout.flush()

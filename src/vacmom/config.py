@@ -43,9 +43,13 @@ def _check_keys(node, allowed, required, path) -> None:
             raise ConfigError(f"{path}: missing required key '{key}'")
 
 
-def _number(value, path) -> float:
+def _number(value, path, index=None) -> float:
+    # a float skips the numbers.Real check, which is slow
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        where = path if index is None else f"{path}[{index}]"
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -72,7 +76,7 @@ def _numbers(count):
             raise ConfigError(f"{path}: expected a list of {count} numbers")
         if len(value) != count:
             raise ConfigError(f"{path}: expected {count} numbers, got {len(value)}")
-        return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [_number(v, path, i) for i, v in enumerate(value)]
 
     return parse
 
@@ -88,7 +92,7 @@ def _sweep_parameter(value, path) -> str:
 def _sweep_values(value, path) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(_number(v, path, i) for i, v in enumerate(value))
 
 
 # section -> (constructor, {key: parser of its value}). The section

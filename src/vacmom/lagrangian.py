@@ -155,15 +155,16 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
         for beta in grid:
             spec = BoostSpec(beta)
             exact = me_density_exact(m, f, spec)
-            trunc = me_density_first_order(m, f, spec).total_first_order
-            residuals.append(abs(exact - trunc))
+            bk = me_density_first_order(m, f, spec)
+            if not residuals:
+                # the analytic first-order rate, taken at the smallest beta
+                rate = (bk.mixing + bk.mu_correction) / beta
+            residuals.append(abs(exact - bk.total_first_order))
 
         h = min(_FD_STEP, 0.5 / m.index)
         fd = (
             me_density_exact(m, f, BoostSpec(h)) - me_density_exact(m, f, BoostSpec(-h))
         ) / (2.0 * h)
-        bk = me_density_first_order(m, f, BoostSpec(grid[0]))
-        rate = (bk.mixing + bk.mu_correction) / grid[0]
     except (ValueError, ZeroDivisionError) as exc:
         # Vec3 rejects an overflowing field or chi product; 1/mu' or 1/n
         # has no value where mu' or n underflows to 0
