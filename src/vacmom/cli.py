@@ -6,9 +6,10 @@ diagnostics to stderr, and uses the exit code contract
 
     0  success
     1  stdout was closed before all output was written
-    2  configuration error (parse, schema, or value rejection, including
-       values whose results leave the float range and sweeps of a
-       parameter the subcommand does not read)
+    2  configuration error (decoding, parse, schema, or value rejection,
+       including a key repeated within one object, values whose results
+       leave the float range and sweeps of a parameter the subcommand
+       does not read)
     3  degenerate boost (1 + n beta <= 0)
     4  expansion-order verification failed (expand-check only)
     5  empty vacuum mode set
@@ -22,14 +23,13 @@ override option is registered only on the subcommands that read it.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algebra import BoostSpec, FieldState, Material
 from .config import RunConfig, VacuumSpec, config_to_dict, load_config
@@ -77,9 +77,23 @@ _CONTAINERS = (list, tuple, dict)
 
 
 @functools.cache
-def _flat_json(depth: int):
-    """The C-backed encoder of a container of scalars at this depth."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+def _encoder(depth: int):
+    """The C encoder of a container of scalars at this depth.
+
+    Built with the arguments json.JSONEncoder.iterencode passes for
+    indent=None. A call returns the text as a sequence of chunks.
+    """
+    return c_make_encoder(
+        None,  # markers: no circular-reference check
+        json.JSONEncoder().default,
+        encode_basestring_ascii,
+        None,  # indent
+        ": ",  # key separator
+        ",\n" + "  " * (depth + 1),  # item separator
+        False,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
 
 
 def _json(value, depth: int = 0) -> str:
@@ -88,25 +102,36 @@ def _json(value, depth: int = 0) -> str:
     json.dumps indents with its pure-Python encoder; here Python lays
     out only the containers of containers, and the C encoder the rest.
     """
+    encode = _encoder(depth)
     if not isinstance(value, _CONTAINERS) or not value:
-        return _flat_json(depth)(value)
+        return "".join(encode(value, 0))
     inner = "\n" + "  " * (depth + 1)
     children = value.values() if isinstance(value, dict) else value
-    if not any(isinstance(c, _CONTAINERS) for c in children):
+    for child in children:
+        if isinstance(child, _CONTAINERS):
+            break
+    else:
         # the C encoder writes no line break after "[" and before "]"
-        text = _flat_json(depth)(value)
+        text = "".join(encode(value, 0))
         return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+    items = [
+        _json(v, depth + 1) if isinstance(v, _CONTAINERS) else "".join(encode(v, 0))
+        for v in children
+    ]
     if isinstance(value, dict):
-        items = [
-            f"{encode_basestring_ascii(k)}: {_json(v, depth + 1)}" for k, v in value.items()
-        ]
+        items = [f"{encode_basestring_ascii(k)}: {item}" for k, item in zip(value, items)]
         return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
-    items = [_json(v, depth + 1) for v in value]
     return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
 
 
 def _emit(cfg: RunConfig, args, rows) -> None:
-    """Write rows of (column, value) pairs; the first row names the columns."""
+    """Write rows of (column, value) pairs; the first row names the columns.
+
+    The output is built whole and written once. No CSV cell needs
+    quoting: each is a number, nan, true, false, a column name or a
+    sweep parameter, none of which holds a comma, a quote or a line
+    break.
+    """
     header = [column for column, _ in rows[0]]
     if args.format == "json":
         payload = {
@@ -120,10 +145,14 @@ def _emit(cfg: RunConfig, args, rows) -> None:
         }
         sys.stdout.write(_json(payload) + "\n")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
+        lines = [",".join(header)]
         for row in rows:
-            writer.writerow([_csv_cell(v) for _, v in row])
+            lines.append(
+                ",".join(
+                    [format(v, ".17g") if type(v) is float else _csv_cell(v) for _, v in row]
+                )
+            )
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _xyz(prefix: str, v) -> tuple:

@@ -2,8 +2,10 @@
 
 Top-level sections: material (required), boost, fields, vacuum, sweep.
 Unknown keys anywhere are rejected so typos fail loudly instead of
-silently falling back to defaults. Parse and validation failures raise
-ConfigError with a field path (or line/column for malformed JSON).
+silently falling back to defaults, and so is a key repeated within one
+object, whose earlier value JSON would silently drop. Parse and
+validation failures raise ConfigError with a field path (or line/column
+for malformed JSON).
 """
 
 from __future__ import annotations
@@ -48,9 +50,14 @@ def _number(value, path, index=None) -> float:
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, Real):
-        where = path if index is None else f"{path}[{index}]"
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+        problem = f"expected a number, got {value!r}"
+    else:
+        try:
+            return float(value)
+        except OverflowError:
+            problem = "too large for a float"
+    where = path if index is None else f"{path}[{index}]"
+    raise ConfigError(f"{where}: {problem}")
 
 
 def _positive(value, path) -> float:
@@ -138,17 +145,42 @@ def parse_config(data, label: str = "config") -> RunConfig:
     return RunConfig(**sections)
 
 
+def _unique_keys(pairs) -> dict:
+    """The object of a decoded list of (key, value) pairs, each key once."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# one decoder for every file: json.loads(..., object_pairs_hook=...)
+# would build a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        if text.startswith("\ufeff"):
+            # what json.loads reports before it decodes
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # invalid UTF-8, a duplicate key, an integer past the digit
+        # limit of int(), or nesting past the recursion limit
+        raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(data, label=path)
 
 

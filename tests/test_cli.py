@@ -1,5 +1,6 @@
 """Command line behavior: schema rejection, outputs, exit codes."""
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -24,6 +25,7 @@ from vacmom import MAX_GRID_N, ConfigError, EmptyModeSet, Vec3, parse_config
 from vacmom.config import config_to_dict, load_config
 
 from conftest import src_env
+from test_acceptance import PINNED_CSV_HEADER
 
 GOLDEN_MATERIAL = {
     "epsilon": 2.25,
@@ -111,6 +113,60 @@ def test_nonpositive_epsilon_rejected(tmp_path, capsys):
 def test_missing_file_is_config_error(capsys):
     rc, out, err = run_cli(capsys, ["transform", "/nonexistent/nowhere.json"])
     assert rc == 2
+
+
+def _golden_config_text(*edits):
+    """The golden transform config as JSON text; each (old, new) edit
+    replaces the first occurrence of old."""
+    text = json.dumps(
+        {
+            "material": GOLDEN_MATERIAL,
+            "boost": {"beta": 0.1},
+            "sweep": {"parameter": "beta", "values": [0.1, 0.2]},
+        }
+    )
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    return text
+
+
+_HUGE_INT = "1" + "0" * 400
+
+# files that do not decode into a config, each with a piece of the
+# message that must follow "config error: <path>"
+_MALFORMED_FILES = {
+    "invalid-utf-8": (b"\xff" + _golden_config_text().encode(), "can't decode byte 0xff"),
+    "utf-16": (_golden_config_text().encode("utf-16"), "can't decode byte"),
+    "deep-nesting": (b"[" * 100_000, "maximum recursion depth"),
+    "int-digit-limit": (_golden_config_text(("2.25", "1" * 5000)).encode(), "4300"),
+    "huge-int-epsilon": (
+        _golden_config_text(("2.25", _HUGE_INT)).encode(),
+        ".material.epsilon: too large for a float",
+    ),
+    "huge-int-sweep-value": (
+        _golden_config_text(("0.2]", _HUGE_INT + "]")).encode(),
+        ".sweep.values[1]: too large for a float",
+    ),
+    "duplicate-key": (
+        _golden_config_text(('"mu": 1.0', '"epsilon": 9.0, "mu": 1.0')).encode(),
+        "duplicate key 'epsilon'",
+    ),
+    "duplicate-section": (
+        _golden_config_text(('"boost"', '"boost": {"beta": 0.3}, "boost"')).encode(),
+        "duplicate key 'boost'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_FILES))
+def test_malformed_file_is_config_error(tmp_path, capsys, case):
+    content, message = _MALFORMED_FILES[case]
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    rc, out, err = run_cli(capsys, ["transform", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"config error: {path}")
+    assert message in err
 
 
 _NUMBER_LISTS = {
@@ -848,6 +904,46 @@ def test_json_is_laid_out_as_json_dumps_indent_2(value):
     assert cli._json(value) == json.dumps(value, indent=2)
 
 
+_COLUMNS = sorted({c for header in PINNED_CSV_HEADER.values() for c in header.split(",")})
+_csv_values = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["beta", "cutoff", "grid_n"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.tuples(st.sampled_from(_COLUMNS), _csv_values), min_size=1, max_size=16),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_csv_is_written_as_csv_writer_writes_it(rows):
+    def cell(value):
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if value is None:
+            return "nan"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow([column for column, _ in rows[0]])
+    for row in rows:
+        writer.writerow([cell(v) for _, v in row])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(None, argparse.Namespace(format="csv"), rows)
+    assert out.getvalue() == expected.getvalue()
+
+
 def test_json_null_for_undefined_ratio(tmp_path, capsys):
     vacuum_cfg = {"grid_n": 4, "cutoff": 1e5, "volume": 1.0}
     cases = [
@@ -1229,7 +1325,10 @@ def _any_run(draw):
     transform (config boost, beta sweep, both or --beta), expand-check
     (default or drawn grid), velocity (vacuum or classical) and
     vacuum-sweep (cutoff or grid_n); in about one draw of five the sweep
-    is replaced by one of a parameter the command does not read.
+    is replaced by one of a parameter the command does not read. In
+    about one draw of ten a number is an integer beyond the float range,
+    and in another a section is repeated; json.dumps cannot write a
+    repeated key, so that config comes as its JSON text.
     """
     command, cfg, flags = draw(_run_of_each_command())
     if draw(st.integers(0, 4)) == 4:
@@ -1237,6 +1336,23 @@ def _any_run(draw):
             "parameter": draw(st.sampled_from(_UNREAD_SWEEPS[command])),
             "values": draw(st.lists(_signed, min_size=1, max_size=3)),
         }
+    fault = draw(st.integers(0, 9))
+    if fault == 8:
+        places = [
+            (name, key)
+            for name in ("material", "boost", "vacuum", "sweep")
+            for key in cfg.get(name, ())
+            if key not in ("chi", "grid_n", "parameter")
+        ]
+        section, key = draw(st.sampled_from(places))
+        huge = draw(st.sampled_from((10**400, -(10**400), 2**1024)))
+        if key == "values":
+            cfg[section][key][-1] = huge
+        else:
+            cfg[section][key] = huge
+    elif fault == 9:
+        section = draw(st.sampled_from(sorted(cfg)))
+        cfg = json.dumps(cfg)[:-1] + f", {json.dumps(section)}: {json.dumps(cfg[section])}}}"
     return command, cfg, flags
 
 
@@ -1328,11 +1444,13 @@ _UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
 def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, fmt):
     command, cfg, flags = run
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main([command, str(path), "--format", fmt, *flags])
     assert rc in (0, 2, 3, 4, 5)
+    if isinstance(cfg, str):
+        assert rc == 2 and "duplicate key" in err.getvalue()
     if rc != 0:
         assert err.getvalue()
         return
