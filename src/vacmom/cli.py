@@ -64,8 +64,7 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
+    """The CSV cell of a value that is not a float; _emit writes floats."""
     if value is None:
         return "nan"
     if isinstance(value, bool):
@@ -399,6 +398,9 @@ _SUBCOMMANDS = {
 }
 
 
+_FORMATS = ("csv", "json")
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's print_help drops the OSError of a closed stdout
@@ -406,12 +408,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and its subparsers by name, built once per process.
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and only when needed.
 
     Parsing gives a fresh Namespace on every call and writes usage and
     errors to sys.stdout and sys.stderr as they are at that call, so
-    reusing the parsers leaves every call's output unchanged.
+    reusing the parser leaves every call's output unchanged.
     """
     parser = _Parser(
         prog="vacmom",
@@ -426,27 +428,86 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("config", help="path to JSON config file")
         p.add_argument(
             "--format",
-            choices=("csv", "json"),
+            choices=_FORMATS,
             default="csv",
             help="output format (default csv)",
         )
         for option in overrides:
             p.add_argument(f"--{option}", type=float, help=_OVERRIDES[option][0])
-    return parser, sub.choices
+    return parser
+
+
+# subcommand -> the namespace parse_args gives it before any option, in
+# parse_args' attribute order
+_DEFAULTS = {
+    name: {"command": name, "config": None, "format": "csv", **dict.fromkeys(overrides)}
+    for name, (_, _, overrides, _) in _SUBCOMMANDS.items()
+}
+_DESTS = {f"--{dest}": dest for dest in ("format", *_OVERRIDES)}
+
+
+def _parse_own_form(argv: list) -> argparse.Namespace | None:
+    """The Namespace parse_args(argv) gives, if argv has the CLI's own form.
+
+    That form is a subcommand, one config path that does not start with
+    "-", and any of --format and the subcommand's overrides, each as
+    "--name value" or "--name=value", the last one winning. A separate
+    value may start with "-" only as a number the subparsers read as
+    one. --format takes csv or json; an override takes what float()
+    takes, as argparse converts it. Any other argv gives None.
+    """
+    defaults = _DEFAULTS.get(argv[0]) if argv else None
+    if defaults is None:
+        return None
+    values = defaults.copy()
+    config = None
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                if config is not None:
+                    return None
+                config = token
+                continue
+            option, eq, value = token.partition("=")
+            dest = _DESTS.get(option)
+            if dest not in values:
+                return None
+            if not eq:
+                value = next(tokens, None)
+                if value is None or (
+                    value.startswith("-") and not _NEGATIVE_NUMBER.match(value)
+                ):
+                    return None
+            if dest == "format":
+                if value not in _FORMATS:
+                    return None
+            else:
+                value = float(value)
+            values[dest] = value
+    except (AttributeError, TypeError, ValueError):
+        # a token that is not a str, or a value float() rejects
+        return None
+    if config is None:
+        return None
+    values["config"] = config
+    # Namespace(**values) would set the attributes one by one, slowly
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """parser.parse_args(argv), handing argv straight to a subparser it names."""
-    parser, subparsers = _build_parser()
+    """parser.parse_args(argv), without the parser for the CLI's own form.
+
+    An argv of that form (see _parse_own_form) is read in one pass; any
+    other, help, usage errors, abbreviations and "--" included, goes to
+    the argparse parser, which is then built if it is not yet.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    # what the top-level parser does after it picks the subparser
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    args.command = argv[0]
+    args = _parse_own_form(argv)
+    if args is None:
+        return _build_parser().parse_args(argv)
     return args
 
 

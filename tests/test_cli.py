@@ -25,6 +25,7 @@ from vacmom import MAX_GRID_N, ConfigError, EmptyModeSet, Vec3, parse_config
 from vacmom.config import config_to_dict, load_config
 
 from conftest import src_env
+from portable_checks import MALFORMED_FILES, parse_outcome
 from test_acceptance import PINNED_CSV_HEADER
 
 GOLDEN_MATERIAL = {
@@ -115,52 +116,9 @@ def test_missing_file_is_config_error(capsys):
     assert rc == 2
 
 
-def _golden_config_text(*edits):
-    """The golden transform config as JSON text; each (old, new) edit
-    replaces the first occurrence of old."""
-    text = json.dumps(
-        {
-            "material": GOLDEN_MATERIAL,
-            "boost": {"beta": 0.1},
-            "sweep": {"parameter": "beta", "values": [0.1, 0.2]},
-        }
-    )
-    for old, new in edits:
-        text = text.replace(old, new, 1)
-    return text
-
-
-_HUGE_INT = "1" + "0" * 400
-
-# files that do not decode into a config, each with a piece of the
-# message that must follow "config error: <path>"
-_MALFORMED_FILES = {
-    "invalid-utf-8": (b"\xff" + _golden_config_text().encode(), "can't decode byte 0xff"),
-    "utf-16": (_golden_config_text().encode("utf-16"), "can't decode byte"),
-    "deep-nesting": (b"[" * 100_000, "maximum recursion depth"),
-    "int-digit-limit": (_golden_config_text(("2.25", "1" * 5000)).encode(), "4300"),
-    "huge-int-epsilon": (
-        _golden_config_text(("2.25", _HUGE_INT)).encode(),
-        ".material.epsilon: too large for a float",
-    ),
-    "huge-int-sweep-value": (
-        _golden_config_text(("0.2]", _HUGE_INT + "]")).encode(),
-        ".sweep.values[1]: too large for a float",
-    ),
-    "duplicate-key": (
-        _golden_config_text(('"mu": 1.0', '"epsilon": 9.0, "mu": 1.0')).encode(),
-        "duplicate key 'epsilon'",
-    ),
-    "duplicate-section": (
-        _golden_config_text(('"boost"', '"boost": {"beta": 0.3}, "boost"')).encode(),
-        "duplicate key 'boost'",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(_MALFORMED_FILES))
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
 def test_malformed_file_is_config_error(tmp_path, capsys, case):
-    content, message = _MALFORMED_FILES[case]
+    content, message = MALFORMED_FILES[case]
     path = tmp_path / "config.json"
     path.write_bytes(content)
     rc, out, err = run_cli(capsys, ["transform", str(path)])
@@ -944,6 +902,46 @@ def test_csv_is_written_as_csv_writer_writes_it(rows):
     assert out.getvalue() == expected.getvalue()
 
 
+def test_emit_gets_no_subclass_of_a_builtin_type(tmp_path, capsys, monkeypatch):
+    """_emit formats only exact floats as floats: every value the
+    commands hand it, integers in the config included, has an exact
+    builtin type."""
+    seen = set()
+    emit = cli._emit
+
+    def recording_emit(cfg, args, rows):
+        seen.update(type(v) for row in rows for _, v in row)
+        emit(cfg, args, rows)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    material = dict(GOLDEN_MATERIAL, mu=1, rho0=1)
+    vacuum_cfg = {"grid_n": 4, "cutoff": 100000, "volume": 1}
+    runs = [
+        ("transform", {"boost": {"beta": 0}}, ["--beta", "-1e-05"]),
+        ("transform", {"sweep": {"parameter": "beta", "values": [0, 0.5]}}, []),
+        ("expand-check", {"fields": {"E": [1, 0, 0], "B": [0, 1, 0]}}, []),
+        ("velocity", {"fields": {"E": [1, 0, 0], "B": [0, 1, 0]}}, []),
+        ("velocity", {"vacuum": vacuum_cfg}, ["--cutoff=200000"]),
+        (
+            "vacuum-sweep",
+            {"vacuum": vacuum_cfg, "sweep": {"parameter": "cutoff", "values": [100000, 200000]}},
+            [],
+        ),
+        (
+            "vacuum-sweep",
+            {"vacuum": vacuum_cfg, "sweep": {"parameter": "grid_n", "values": [4, 6]}},
+            [],
+        ),
+    ]
+    for command, cfg, flags in runs:
+        path = write_config(tmp_path, {"material": material, **cfg})
+        for fmt in ("csv", "json"):
+            rc, _, err = run_cli(capsys, [command, path, "--format", fmt, *flags])
+            assert rc == 0, (command, err)
+    assert seen <= {float, int, bool, str, type(None)}, seen
+    assert float in seen and int in seen and bool in seen and str in seen
+
+
 def test_json_null_for_undefined_ratio(tmp_path, capsys):
     vacuum_cfg = {"grid_n": 4, "cutoff": 1e5, "volume": 1.0}
     cases = [
@@ -1167,16 +1165,6 @@ def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch):
     assert cli._build_parser.cache_info().currsize == 1
 
 
-def _parse_outcome(parse, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            namespace, code = parse(argv), None
-        except SystemExit as exc:
-            namespace, code = None, exc.code
-    return namespace, code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1197,13 +1185,17 @@ def _parse_outcome(parse, argv):
         ["--", "velocity", "config.json"],
         ["vel", "config.json"],
         ["velocity", "config.json", "--format", "xml"],
+        ["transform", "config.json", "--beta=nan", "--format=json", "--beta", "-1e-05"],
+        ["transform", "config.json", "--beta", "-inf"],
+        ["transform", "config.json", "--beta", "1_0"],
+        ["expand-check", "config.json", "--", "json"],
     ],
 )
 def test_subcommand_first_parse_matches_parse_args(monkeypatch, argv):
     # argparse wraps usage to the terminal width; fix it on both sides
     monkeypatch.setenv("COLUMNS", "80")
-    parser, _ = cli._build_parser()
-    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(parser.parse_args, argv)
+    parser = cli._build_parser()
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(parser.parse_args, argv)
 
 
 def test_cli_process_builds_one_parser_and_never_imports_statistics(tmp_path):
@@ -1230,6 +1222,10 @@ def test_cli_process_builds_one_parser_and_never_imports_statistics(tmp_path):
         print(built_on_import, cli._build_parser.cache_info().misses, codes)
         print(sorted(m for m in ("statistics", "fractions", "decimal") if m in sys.modules))
         print("slope_abs_e_cross_b" in out.getvalue())
+        # an abbreviated option is left to argparse, which builds the parser
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["expand-check", {expand!r}, "--form", "json"])]
+        print(cli._build_parser.cache_info().misses, codes)
         """
     )
     result = subprocess.run(
@@ -1240,7 +1236,7 @@ def test_cli_process_builds_one_parser_and_never_imports_statistics(tmp_path):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["0 1 [0, 0]", "[]", "True"]
+    assert result.stdout.splitlines() == ["0 0 [0, 0]", "[]", "True", "1 [0]"]
 
 
 def _run_into_closed_stdout(argv, unbuffered):
@@ -1324,11 +1320,14 @@ def _any_run(draw):
 
     transform (config boost, beta sweep, both or --beta), expand-check
     (default or drawn grid), velocity (vacuum or classical) and
-    vacuum-sweep (cutoff or grid_n); in about one draw of five the sweep
-    is replaced by one of a parameter the command does not read. In
-    about one draw of ten a number is an integer beyond the float range,
-    and in another a section is repeated; json.dumps cannot write a
-    repeated key, so that config comes as its JSON text.
+    vacuum-sweep (cutoff or grid_n), those with a vacuum section with
+    or without --cutoff. Each option is spelled as one token or as two,
+    with a value written by repr, so negative exponents come up. In
+    about one draw of five the sweep is replaced by one of a parameter
+    the command does not read. In about one draw of ten a number is an
+    integer beyond the float range, and in another a section is
+    repeated; json.dumps cannot write a repeated key, so that config
+    comes as its JSON text.
     """
     command, cfg, flags = draw(_run_of_each_command())
     if draw(st.integers(0, 4)) == 4:
@@ -1354,6 +1353,11 @@ def _any_run(draw):
         section = draw(st.sampled_from(sorted(cfg)))
         cfg = json.dumps(cfg)[:-1] + f", {json.dumps(section)}: {json.dumps(cfg[section])}}}"
     return command, cfg, flags
+
+
+def _spelled(draw, option, value):
+    """The option and its value as one token or as two, drawn."""
+    return draw(st.sampled_from(((f"{option}={value}",), (option, value))))
 
 
 @st.composite
@@ -1383,8 +1387,7 @@ def _run_of_each_command(draw):
             }
         flags = ()
         if kind == "transform-beta":
-            beta = repr(draw(_beta))
-            flags = draw(st.sampled_from(((f"--beta={beta}",), ("--beta", beta))))
+            flags = _spelled(draw, "--beta", repr(draw(_beta)))
         return "transform", cfg, flags
     if kind in ("expand-check", "classical"):
         cfg["fields"] = {"E": draw(_vector), "B": draw(_vector)}
@@ -1399,8 +1402,9 @@ def _run_of_each_command(draw):
         "volume": draw(_magnitude),
     }
     cfg["vacuum"] = vac
+    flags = _spelled(draw, "--cutoff", repr(draw(_signed))) if draw(st.booleans()) else ()
     if kind == "vacuum":
-        return "velocity", cfg, ()
+        return "velocity", cfg, flags
     if kind == "cutoff":
         # ascending cutoffs whose scaled grids stay small
         factors = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)), min_size=1, unique=True))
@@ -1408,7 +1412,7 @@ def _run_of_each_command(draw):
     else:
         values = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
     cfg["sweep"] = {"parameter": kind, "values": values}
-    return "vacuum-sweep", cfg, ()
+    return "vacuum-sweep", cfg, flags
 
 
 # n V underflows to 0 at these; both once ended in a ZeroDivisionError
@@ -1417,29 +1421,31 @@ _UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
 
 
 @settings(max_examples=250, deadline=None)
-@given(run=_any_run(), fmt=st.sampled_from(("csv", "json")))
+@given(run=_any_run(), fmt=st.sampled_from(("csv", "json")).flatmap(
+    lambda fmt: st.sampled_from((("--format", fmt), (f"--format={fmt}",)))
+))
 @example(
     run=("velocity", {"material": _UNDERFLOWING_INDEX,
                       "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}}, ()),
-    fmt="csv",
+    fmt=("--format", "csv"),
 )
 @example(
     run=("vacuum-sweep", {"material": _UNDERFLOWING_N_VOLUME,
                           "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 5.8e-199},
                           "sweep": {"parameter": "grid_n", "values": [2]}}, ()),
-    fmt="csv",
+    fmt=("--format", "csv"),
 )
 @example(
     run=("transform", {"material": _HUGE_CONSTANTS}, ("--beta=0.1",)),
-    fmt="csv",
+    fmt=("--format", "csv"),
 )
 @example(
     run=("expand-check", {"material": _UNDERFLOWING_INDEX, "fields": CROSSED_FIELDS}, ()),
-    fmt="csv",
+    fmt=("--format", "csv"),
 )
 @example(
     run=("transform", {"material": GOLDEN_MATERIAL}, ("--beta", "-1e-05")),
-    fmt="json",
+    fmt=("--format=json",),
 )
 def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, fmt):
     command, cfg, flags = run
@@ -1447,14 +1453,14 @@ def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, f
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main([command, str(path), "--format", fmt, *flags])
+        rc = cli.main([command, str(path), *fmt, *flags])
     assert rc in (0, 2, 3, 4, 5)
     if isinstance(cfg, str):
         assert rc == 2 and "duplicate key" in err.getvalue()
     if rc != 0:
         assert err.getvalue()
         return
-    if fmt == "json":
+    if fmt[-1].endswith("json"):
         rows = json.loads(out.getvalue())["result"]["rows"]
     else:
         rows = read_rows(out.getvalue())
