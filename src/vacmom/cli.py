@@ -8,8 +8,8 @@ diagnostics to stderr, and uses the exit code contract
     1  stdout was closed before all output was written
     2  configuration error (decoding, parse, schema, or value rejection,
        including a key repeated within one object, values whose results
-       leave the float range and sweeps of a parameter the subcommand
-       does not read)
+       leave the float range, a sweep of a parameter the subcommand does
+       not read and an override of the parameter swept)
     3  degenerate boost (1 + n beta <= 0)
     4  expansion-order verification failed (expand-check only)
     5  empty vacuum mode set
@@ -32,7 +32,7 @@ import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algebra import BoostSpec, FieldState, Material
-from .config import RunConfig, VacuumSpec, config_to_dict, load_config
+from .config import RunConfig, _positive, config_to_dict, load_config
 from .errors import (
     ConfigError,
     DegenerateBoost,
@@ -170,31 +170,19 @@ def _warn_longitudinal(f: FieldState) -> None:
             )
 
 
-def _reject_superseded(args, option: str) -> None:
-    """A sweep of the parameter an override sets would silently win."""
-    if getattr(args, option) is not None:
+def _boost_list(cfg: RunConfig) -> list[BoostSpec]:
+    if cfg.sweep is None:
+        if cfg.boost is None:
+            raise ConfigError("transform requires a boost section or a beta sweep")
+        return [cfg.boost]
+    if cfg.boost is not None:
         raise ConfigError(
-            f"--{option} cannot override the {option} sweep given in sweep.values"
+            "boost.beta cannot be combined with the beta sweep given in sweep.values"
         )
-
-
-def _boost_list(cfg: RunConfig, args) -> list[BoostSpec]:
-    if cfg.sweep is not None:
-        _reject_superseded(args, "beta")
-        if cfg.boost is not None:
-            raise ConfigError(
-                "boost.beta cannot be combined with the beta sweep given in sweep.values"
-            )
-        boosts = []
-        for v in cfg.sweep.values:
-            try:
-                boosts.append(BoostSpec(v))
-            except ValueError as exc:
-                raise ConfigError(f"sweep.values: {exc}") from exc
-        return boosts
-    if cfg.boost is None:
-        raise ConfigError("transform requires a boost section or a beta sweep")
-    return [cfg.boost]
+    try:
+        return [BoostSpec(v) for v in cfg.sweep.values]
+    except ValueError as exc:
+        raise ConfigError(f"sweep.values: {exc}") from exc
 
 
 def _transform_out_of_range(m: Material, boost: BoostSpec) -> NonFiniteResult:
@@ -208,7 +196,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     m = cfg.material
     n = m.index
     rows = []
-    for boost in _boost_list(cfg, args):
+    for boost in _boost_list(cfg):
         tc = transform_constants(m, boost)
         # mu' is 0 where mu/eps underflows or beta = -n
         if tc.mu_prime == 0.0:
@@ -304,7 +292,6 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
     sweep = cfg.sweep
 
     if sweep.parameter == "cutoff":
-        _reject_superseded(args, "cutoff")
         try:
             entries = cutoff_sweep(m, vac.grid_n, sweep.values, vac.volume)
         except ValueError as exc:
@@ -347,22 +334,18 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
 
 def _override_beta(cfg: RunConfig, beta: float) -> RunConfig:
     try:
-        boost = BoostSpec(beta)
+        return cfg._replace(boost=BoostSpec(beta))
     except ValueError as exc:
         raise ConfigError(f"--beta: {exc}") from exc
-    return RunConfig(cfg.material, boost, cfg.fields, cfg.vacuum, cfg.sweep)
 
 
 def _override_cutoff(cfg: RunConfig, cutoff: float) -> RunConfig:
     if cfg.vacuum is None:
         raise ConfigError("--cutoff given but the config has no vacuum section")
-    if not 0.0 < cutoff < math.inf:
-        raise ConfigError(f"--cutoff: must be finite and > 0, got {cutoff!r}")
-    vacuum = VacuumSpec(cfg.vacuum.grid_n, cutoff, cfg.vacuum.volume)
-    return RunConfig(cfg.material, cfg.boost, cfg.fields, vacuum, cfg.sweep)
+    return cfg._replace(vacuum=cfg.vacuum._replace(cutoff=_positive(cutoff, "--cutoff")))
 
 
-# option name -> (help, function that applies its value to the config)
+# option name -> (help, function that checks its value and applies it)
 _OVERRIDES = {
     "beta": ("override boost.beta from the config", _override_beta),
     "cutoff": ("override vacuum.cutoff from the config", _override_cutoff),
@@ -405,6 +388,15 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's print_help drops the OSError of a closed stdout
         (sys.stdout if file is None else file).write(self.format_help())
+
+    def _get_values(self, action, arg_strings):
+        # argparse before 3.13 stores [] for an option's value "--", as
+        # in --beta=--; 3.13 converts and checks it as any other value
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 @functools.cache
@@ -525,11 +517,18 @@ def main(argv=None) -> int:
             value = getattr(args, option)
             if value is not None:
                 cfg = _OVERRIDES[option][1](cfg, value)
-        if cfg.sweep is not None and cfg.sweep.parameter not in sweeps:
-            raise ConfigError(
-                f"{args.command} does not read a {cfg.sweep.parameter!r} sweep"
-                f" (it sweeps: {', '.join(sweeps) or 'nothing'})"
-            )
+        if cfg.sweep is not None:
+            swept = cfg.sweep.parameter
+            if swept not in sweeps:
+                raise ConfigError(
+                    f"{args.command} does not read a {swept!r} sweep"
+                    f" (it sweeps: {', '.join(sweeps) or 'nothing'})"
+                )
+            # the sweep would win and the override be silently dropped
+            if getattr(args, swept, None) is not None:
+                raise ConfigError(
+                    f"--{swept} cannot override the {swept} sweep given in sweep.values"
+                )
         code = handler(cfg, args)
         sys.stdout.flush()
         return code

@@ -146,11 +146,14 @@ def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> Mo
     if not volume > 0.0:
         raise ValueError(f"volume must be > 0, got {volume!r}")
 
-    step = 2.0 * cutoff / grid_n
+    # the one rounding of 2 cutoff / grid_n: grid_n / 2 is exact, and
+    # unlike 2.0 * cutoff the quotient cannot overflow
+    half = grid_n / 2.0
+    step = cutoff / half
     # cell centers; the +/- symmetry is exact because i + 0.5 - grid_n/2
     # is an exact multiple of 0.5 and IEEE negation commutes with the
     # final multiply
-    coords = [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
+    coords = [(i + 0.5 - half) * step for i in range(grid_n)]
     # coords[grid_n - 1 - i] == -coords[i]; mid is the zero coordinate
     # of an odd grid, and flipping it gives the same pair again
     neg = coords[: grid_n // 2]

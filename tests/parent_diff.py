@@ -11,7 +11,7 @@ captured, at COLUMNS=80. The corpus:
   ``bench/workloads.Generator`` at its tiny sizes;
 - seeded random configs of every subcommand, in both output formats and
   with overrides in both spellings, whose numbers include +-0.0,
-  subnormals and 1e+-300;
+  subnormals, 1e+-300 and the largest floats;
 - file faults: a missing file, a directory, an empty or truncated file,
   a BOM, and the malformed-file table of ``portable_checks``;
 - the argv corpus of ``portable_checks``, its config paths pointing at
@@ -65,7 +65,7 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 
 _NUMBERS = (
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
-    1e300, -1e300, 1e-05, -1e-05, 0.5, 1.0, 2.25,
+    1e300, -1e300, 1e308, 1.7976931348623157e308, 1e-05, -1e-05, 0.5, 1.0, 2.25,
 )
 _GOLDEN_MATERIAL = {
     "epsilon": 2.25,

@@ -8,7 +8,9 @@ interpreter that runs it:
 
 - ``cli._parse_args`` against the CLI parser's own ``parse_args``, over
   a seeded argv corpus: the namespace (nan equal to itself), the exit
-  code, and stdout and stderr at COLUMNS=80;
+  code, and stdout and stderr at COLUMNS=80; and every namespace it
+  returns holds a format the CLI writes and overrides that are None or
+  floats;
 - ``cli._json`` against ``json.dumps(indent=2)``;
 - the CSV that ``cli._emit`` writes against ``csv.writer``;
 - the malformed-file table, run through ``cli.main``.
@@ -122,6 +124,10 @@ _EDGE_ARGVS = (
     ["transform", "config.json", "--format", "xml"],
     ["transform", "config.json", "--beta"],
     ["transform", "config.json", "--cutoff", "1"],
+    # before 3.13 argparse stored [] for an option's explicit "--"
+    ["transform", "config.json", "--beta=--"],
+    ["velocity", "config.json", "--cutoff=--"],
+    ["transform", "config.json", "--format=--"],
 )
 
 
@@ -153,6 +159,14 @@ def parse_outcome(parse, argv):
     return namespace, code, out.getvalue(), err.getvalue()
 
 
+def _typed(args) -> bool:
+    """Whether a namespace holds what cli.main reads: a format it writes
+    and each override None or a float."""
+    return args.format in cli._FORMATS and all(
+        type(getattr(args, option, None)) in (type(None), float) for option in cli._OVERRIDES
+    )
+
+
 def check_parse(seed: int, count: int) -> tuple[str, list[str]]:
     parser = cli._build_parser()
     failures, own_form = [], 0
@@ -162,6 +176,8 @@ def check_parse(seed: int, count: int) -> tuple[str, list[str]]:
         want = parse_outcome(parser.parse_args, argv)
         if got != want:
             failures.append(f"{argv!r}: _parse_args gave {got!r}, parse_args {want!r}")
+        elif got[0] is not None and not _typed(cli._parse_args(argv)):
+            failures.append(f"{argv!r}: _parse_args gave {got[0]}")
     # a corpus that never reaches the direct parse would check nothing
     if own_form < count // 5:
         failures.append(f"only {own_form} argvs reached the direct parse")

@@ -433,6 +433,24 @@ def test_vacuum_sweep_extreme_cutoffs(tmp_path, capsys, cutoff):
     assert all(float(r["zero_point_energy"]) > 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("cutoff", [1e307, 9e307, 1e308, 1.7e308])
+def test_velocity_cutoffs_past_half_the_largest_float(tmp_path, capsys, cutoff):
+    # 2.0 * cutoff overflows from about 8.99e307 on; a grid step built
+    # from it once put every cell at inf and left no mode
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 4, "cutoff": cutoff, "volume": 1.0},
+        },
+    )
+    rc, out, err = run_cli(capsys, ["velocity", path])
+    assert rc == 0, err
+    (row,) = read_rows(out)
+    assert all(math.isfinite(float(value)) for value in row.values())
+    assert float(row["v_z"]) > 0.0
+
+
 _TINY_RHO0 = dict(GOLDEN_MATERIAL, rho0=1e-320)
 _SPLIT_CONSTANTS = dict(GOLDEN_MATERIAL, epsilon=1e300, mu=1e-300)
 _HUGE_CONSTANTS = dict(GOLDEN_MATERIAL, epsilon=1e308, mu=1e308)
@@ -1032,35 +1050,76 @@ def test_vacuum_sweep_cutoff_override_changes_a_grid_sweep(tmp_path, capsys):
         assert float(row_b["zero_point_energy"]) < float(row_a["zero_point_energy"])
 
 
+_BETA_SWEEP = {"sweep": {"parameter": "beta", "values": [0.1, 0.2]}}
+_CUTOFF_SWEEP = {
+    "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+    "sweep": {"parameter": "cutoff", "values": [1e5, 2e5]},
+}
+
+
 @pytest.mark.parametrize(
-    "command, cfg, option",
+    "command, cfg, flags",
     [
-        (
-            "transform",
-            {"sweep": {"parameter": "beta", "values": [0.1, 0.2]}},
-            "--beta",
-        ),
-        (
-            "vacuum-sweep",
-            {
-                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
-                "sweep": {"parameter": "cutoff", "values": [1e5, 2e5]},
-            },
-            "--cutoff",
-        ),
+        ("transform", _BETA_SWEEP, ("--beta", "0.5")),
+        ("vacuum-sweep", _CUTOFF_SWEEP, ("--cutoff", "0.5")),
+        ("transform", _BETA_SWEEP, ("--beta=0.5",)),
+        ("vacuum-sweep", _CUTOFF_SWEEP, ("--cutoff=2e5",)),
     ],
-    ids=["transform-beta-sweep", "vacuum-sweep-cutoff-sweep"],
+    ids=[
+        "transform-beta-sweep",
+        "vacuum-sweep-cutoff-sweep",
+        "transform-beta-sweep-one-token",
+        "vacuum-sweep-cutoff-sweep-one-token",
+    ],
 )
 def test_override_of_the_swept_parameter_is_config_error(
-    tmp_path, capsys, command, cfg, option
+    tmp_path, capsys, command, cfg, flags
 ):
     # the sweep would win and the override would be silently dropped
     path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, **cfg})
-    rc, out, err = run_cli(capsys, [command, path, option, "0.5"])
+    rc, out, err = run_cli(capsys, [command, path, *flags])
+    option = flags[0].partition("=")[0]
     assert rc == 2
     assert out == ""
-    assert err.startswith("config error:")
-    assert option in err and "sweep" in err
+    assert err == (
+        f"config error: {option} cannot override the {option[2:]} sweep"
+        " given in sweep.values\n"
+    )
+
+
+# the CLI's input rules, in the order they are checked: an override's
+# value, a sweep the command does not read, an override of the swept
+# parameter, then the command's own rules
+@pytest.mark.parametrize(
+    "command, cfg, flags, message",
+    [
+        (
+            "transform",
+            _BETA_SWEEP,
+            ("--beta", "5"),
+            "--beta: |beta| must be < 1",
+        ),
+        (
+            "velocity",
+            _CUTOFF_SWEEP,
+            ("--cutoff", "2e5"),
+            "velocity does not read a 'cutoff' sweep",
+        ),
+        (
+            "transform",
+            {"boost": {"beta": 0.3}, **_BETA_SWEEP},
+            ("--beta", "0.5"),
+            "--beta cannot override the beta sweep",
+        ),
+    ],
+    ids=["bad-value-before-superseded", "unread-before-superseded", "superseded-before-boost"],
+)
+def test_input_rules_are_checked_in_order(tmp_path, capsys, command, cfg, flags, message):
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, **cfg})
+    rc, out, err = run_cli(capsys, [command, path, *flags])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"config error: {message}")
 
 
 @pytest.mark.parametrize(
@@ -1300,6 +1359,9 @@ _signed = st.one_of(
     st.tuples(st.sampled_from((-1.0, 1.0)), _magnitude).map(lambda p: p[0] * p[1]),
 )
 _vector = st.lists(_signed, min_size=3, max_size=3)
+# vacuum cutoffs: the magnitudes above, or past 1e300 up to the largest
+# float, where 2.0 * cutoff overflows
+_cutoff = st.one_of(_magnitude, st.floats(1e300, sys.float_info.max))
 
 
 _beta = st.one_of(
@@ -1321,15 +1383,18 @@ def _any_run(draw):
     transform (config boost, beta sweep, both or --beta), expand-check
     (default or drawn grid), velocity (vacuum or classical) and
     vacuum-sweep (cutoff or grid_n), those with a vacuum section with
-    or without --cutoff. Each option is spelled as one token or as two,
-    with a value written by repr, so negative exponents come up. In
-    about one draw of five the sweep is replaced by one of a parameter
-    the command does not read. In about one draw of ten a number is an
-    integer beyond the float range, and in another a section is
-    repeated; json.dumps cannot write a repeated key, so that config
-    comes as its JSON text.
+    or without --cutoff, which may override the swept parameter. Each
+    option is spelled as one token or as two, with a value written by
+    repr, so negative exponents come up. In about one draw of five the
+    sweep is replaced by one of a parameter the command does not read,
+    and in about one of ten an option's value is "--" (--beta=--). In
+    about one draw of ten a number is an integer beyond the float
+    range, and in another a section is repeated; json.dumps cannot
+    write a repeated key, so that config comes as its JSON text.
     """
     command, cfg, flags = draw(_run_of_each_command())
+    if draw(st.integers(0, 9)) == 9:
+        flags = (*flags, draw(st.sampled_from(("--beta=--", "--cutoff=--", "--format=--"))))
     if draw(st.integers(0, 4)) == 4:
         cfg["sweep"] = {
             "parameter": draw(st.sampled_from(_UNREAD_SWEEPS[command])),
@@ -1398,7 +1463,7 @@ def _run_of_each_command(draw):
         return "expand-check", cfg, ()
     vac = {
         "grid_n": draw(st.integers(2, 6)),
-        "cutoff": draw(_magnitude),
+        "cutoff": draw(_cutoff),
         "volume": draw(_magnitude),
     }
     cfg["vacuum"] = vac
@@ -1453,10 +1518,20 @@ def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, f
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main([command, str(path), *fmt, *flags])
+        try:
+            rc = cli.main([command, str(path), *fmt, *flags])
+        except SystemExit as exc:
+            # argparse's usage error, on every Python, before the config is read
+            assert exc.code == 2 and any(token.endswith("=--") for token in flags)
+            return
     assert rc in (0, 2, 3, 4, 5)
     if isinstance(cfg, str):
         assert rc == 2 and "duplicate key" in err.getvalue()
+    elif "sweep" in cfg:
+        # an override of the swept parameter is rejected, not dropped
+        swept = f"--{cfg['sweep']['parameter']}"
+        if any(token.partition("=")[0] == swept for token in flags):
+            assert rc == 2
     if rc != 0:
         assert err.getvalue()
         return

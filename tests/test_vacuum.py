@@ -1,6 +1,7 @@
 """Zero-point mode construction, vacuum bilinear sums, cutoff scaling."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +98,27 @@ def test_wavevectors_come_in_exact_opposite_pairs():
         assert kset | negated == set(grid)
         # two polarization modes per cell
         assert ms.mode_count == 2 * len(grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid_n=st.integers(2, 12),
+    # up to half the largest float, above which 2.0 * cutoff overflows
+    cutoff=st.floats(5e-324, sys.float_info.max / 2),
+)
+@example(grid_n=2, cutoff=1e-310)
+@example(grid_n=3, cutoff=1e-315)
+@example(grid_n=9, cutoff=2.2250738585072014e-308)
+def test_grid_is_the_cell_centres_of_step_2_cutoff_over_grid_n(grid_n, cutoff):
+    # the reference steps by 2.0 * cutoff / grid_n, subnormal cutoffs too
+    want = cell_centres(grid_n, cutoff)
+    if not want:
+        with pytest.raises(EmptyModeSet):
+            build_mode_set(M_EMPTY, grid_n, cutoff, 1.0)
+        return
+    got = pairs(build_mode_set(M_EMPTY, grid_n, cutoff, 1.0))
+    assert {k for pair in got for k in (pair, tuple(-x for x in pair))} == set(want)
+    assert 2 * len(got) == len(want)
 
 
 def test_modes_are_grouped_by_wavevector():
