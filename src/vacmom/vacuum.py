@@ -46,10 +46,13 @@ IEEE result of the closed form at that pair's own signed khat:
 math.hypot takes |x| of each coordinate, so all pairs of an orbit get
 the same |k| (and the cutoff filter keeps or drops an orbit whole);
 negation commutes exactly with * and /, so the products at a negated
-component are the negated products; and p + (-q) is exactly p - q. A
-value that is the same on all pairs of an orbit, |E x B| or
-hbar c |k| / n, is entered once per pair, never as a multiple of
-itself, so every channel holds exactly the terms of a pair-by-pair sum.
+component are the negated products; and p + (-q) is exactly p - q.
+The signed terms of each pair are packed once, and |E x chi^T E| and
+|B x chi B| are taken after the loop with math.hypot of those packed
+components. A value that is the same on all pairs of an orbit,
+|E x B| or hbar c |k| / n, is entered once per pair, never as a
+multiple of itself, so every channel holds exactly the terms of a
+pair-by-pair sum.
 
 Alongside the four signed sums we track per-wavevector magnitude
 channels (sum over k of |per-k polarization-summed bilinear|). These
@@ -218,12 +221,12 @@ def vacuum_bilinears(
     two_n = 2.0 * n
     hypot = math.hypot
 
-    # one record of terms per pair, and the four records of an orbit
-    # packed at once: e_cross_chiT_e (3), b_cross_chi_b (3) and, with
-    # magnitudes, the four magnitude channels and hbar c |k| / n
-    width = 11 if magnitudes else 6
-    pack = Struct(f"{4 * width}d").pack
-    records = bytearray()
+    # each pair's signed terms, e_cross_chiT_e then b_cross_chi_b, are
+    # packed once; with magnitudes, |E x B|, |B . chi^T E| and hbar c |k| / n
+    # go into a second buffer, and |E x chi^T E| and |B x chi B| are taken
+    # after the loop with hypot of the packed signed components
+    pack, pack_magnitudes = Struct("24d").pack, Struct("12d").pack
+    signed, unsigned = bytearray(), bytearray()
     for kx, ky, kz, count in ms.orbits:
         k = hypot(kx, ky, kz)
         ux, uy, uz = kx / k, ky / k, kz / k
@@ -257,60 +260,49 @@ def vacuum_bilinears(
         f, g = p + q, p - q
         s1z, s2z = f + r, f - r
         s3z, s4z = g + r, g - r
-        e1x = a2 * (ax - (uy * t1z - uz * t1y))
-        e1y = a2 * (ay - (uz * t1x - ux * t1z))
-        e1z = a2 * (az - (ux * t1y - uy * t1x))
-        e2x = a2 * (ax - (uy * t2z - vz * t2y))
-        e2y = a2 * (ay - (vz * t2x - ux * t2z))
-        e2z = a2 * (az - (ux * t2y - uy * t2x))
-        e3x = a2 * (ax - (vy * t3z - uz * t3y))
-        e3y = a2 * (ay - (uz * t3x - ux * t3z))
-        e3z = a2 * (az - (ux * t3y - vy * t3x))
-        e4x = a2 * (ax - (vy * t4z - vz * t4y))
-        e4y = a2 * (ay - (vz * t4x - ux * t4z))
-        e4z = a2 * (az - (ux * t4y - vy * t4x))
         minus_n2a2 = minus_n2 * a2
-        b1x = minus_n2a2 * (ax + (uy * s1z - uz * s1y))
-        b1y = minus_n2a2 * (ay + (uz * s1x - ux * s1z))
-        b1z = minus_n2a2 * (az + (ux * s1y - uy * s1x))
-        b2x = minus_n2a2 * (ax + (uy * s2z - vz * s2y))
-        b2y = minus_n2a2 * (ay + (vz * s2x - ux * s2z))
-        b2z = minus_n2a2 * (az + (ux * s2y - uy * s2x))
-        b3x = minus_n2a2 * (ax + (vy * s3z - uz * s3y))
-        b3y = minus_n2a2 * (ay + (uz * s3x - ux * s3z))
-        b3z = minus_n2a2 * (az + (ux * s3y - vy * s3x))
-        b4x = minus_n2a2 * (ax + (vy * s4z - vz * s4y))
-        b4y = minus_n2a2 * (ay + (vz * s4x - ux * s4z))
-        b4z = minus_n2a2 * (az + (ux * s4y - vy * s4x))
+        signed += pack(
+            a2 * (ax - (uy * t1z - uz * t1y)),
+            a2 * (ay - (uz * t1x - ux * t1z)),
+            a2 * (az - (ux * t1y - uy * t1x)),
+            minus_n2a2 * (ax + (uy * s1z - uz * s1y)),
+            minus_n2a2 * (ay + (uz * s1x - ux * s1z)),
+            minus_n2a2 * (az + (ux * s1y - uy * s1x)),
+            a2 * (ax - (uy * t2z - vz * t2y)),
+            a2 * (ay - (vz * t2x - ux * t2z)),
+            a2 * (az - (ux * t2y - uy * t2x)),
+            minus_n2a2 * (ax + (uy * s2z - vz * s2y)),
+            minus_n2a2 * (ay + (vz * s2x - ux * s2z)),
+            minus_n2a2 * (az + (ux * s2y - uy * s2x)),
+            a2 * (ax - (vy * t3z - uz * t3y)),
+            a2 * (ay - (uz * t3x - ux * t3z)),
+            a2 * (az - (ux * t3y - vy * t3x)),
+            minus_n2a2 * (ax + (vy * s3z - uz * s3y)),
+            minus_n2a2 * (ay + (uz * s3x - ux * s3z)),
+            minus_n2a2 * (az + (ux * s3y - vy * s3x)),
+            a2 * (ax - (vy * t4z - vz * t4y)),
+            a2 * (ay - (vz * t4x - ux * t4z)),
+            a2 * (az - (ux * t4y - vy * t4x)),
+            minus_n2a2 * (ax + (vy * s4z - vz * s4y)),
+            minus_n2a2 * (ay + (vz * s4x - ux * s4z)),
+            minus_n2a2 * (az + (ux * s4y - vy * s4x)),
+        )
         if magnitudes:
-            # |E x B| and hbar c |k| / n are the same on all four members
-            # (hypot takes |x|) and go into every record as they are
+            # the same on all four members (hypot takes |x|), entered per pair
             two_na2 = two_n * a2
             exb = hypot(two_na2 * ux, two_na2 * uy, two_na2 * uz)
             zpe = zpe_per_k * k
             na2 = n * a2
             p, q, r = ux * ax, uy * ay, uz * az
             f, g = p + q, p - q
-            records += pack(
-                e1x, e1y, e1z, b1x, b1y, b1z, exb, hypot(e1x, e1y, e1z),
-                hypot(b1x, b1y, b1z), abs(na2 * (f + r)), zpe,
-                e2x, e2y, e2z, b2x, b2y, b2z, exb, hypot(e2x, e2y, e2z),
-                hypot(b2x, b2y, b2z), abs(na2 * (f - r)), zpe,
-                e3x, e3y, e3z, b3x, b3y, b3z, exb, hypot(e3x, e3y, e3z),
-                hypot(b3x, b3y, b3z), abs(na2 * (g + r)), zpe,
-                e4x, e4y, e4z, b4x, b4y, b4z, exb, hypot(e4x, e4y, e4z),
-                hypot(b4x, b4y, b4z), abs(na2 * (g - r)), zpe,
-            )
-        else:
-            records += pack(
-                e1x, e1y, e1z, b1x, b1y, b1z,
-                e2x, e2y, e2z, b2x, b2y, b2z,
-                e3x, e3y, e3z, b3x, b3y, b3z,
-                e4x, e4y, e4z, b4x, b4y, b4z,
+            unsigned += pack_magnitudes(
+                exb, abs(na2 * (f + r)), zpe, exb, abs(na2 * (f - r)), zpe,
+                exb, abs(na2 * (g + r)), zpe, exb, abs(na2 * (g - r)), zpe,
             )
         if count < 4:
             # keep the records of the orbit's count distinct pairs
-            del records[8 * width * (count - 4) :]
+            del signed[48 * (count - 4) :]
+            del unsigned[24 * (count - 4) :]
 
     # the odd channels are exactly 0 whatever the size of their terms;
     # with magnitudes, a non-finite odd term also makes its magnitude
@@ -319,14 +311,21 @@ def vacuum_bilinears(
         f"zero-point sums leave the float range at cutoff={ms.cutoff!r},"
         f" volume={ms.volume!r}"
     )
-    terms = memoryview(records).cast("d")
+    terms = memoryview(signed).cast("d")
     try:
-        sums = [2.0 * math.fsum(terms[i::width]) for i in range(width)]
+        sums = [2.0 * math.fsum(terms[i::6]) for i in range(6)]
+        if magnitudes:
+            sums += (
+                2.0 * math.fsum(map(hypot, terms[0::6], terms[1::6], terms[2::6])),
+                2.0 * math.fsum(map(hypot, terms[3::6], terms[4::6], terms[5::6])),
+            )
+            values = memoryview(unsigned).cast("d")
+            sums += (2.0 * math.fsum(values[i::3]) for i in range(3))
     except (OverflowError, ValueError) as exc:  # overflow, or inf - inf
         raise NonFiniteResult(overflow) from exc
     if not all(map(math.isfinite, sums)):
         raise NonFiniteResult(overflow)
-    abs_exb, abs_ex, abs_bx, abs_bce, zpe = sums[6:] if magnitudes else [None] * 5
+    abs_ex, abs_bx, abs_exb, abs_bce, zpe = sums[6:] if magnitudes else [None] * 5
     return BilinearSums(
         e_cross_b=ZERO3,
         e_cross_chiT_e=Vec3(*sums[0:3]),
@@ -358,7 +357,8 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError("cutoffs must be sorted ascending")
     base = cuts[0]
-    largest = grid_n * cuts[-1] / base
+    # dividing first keeps the ratio finite where grid_n * cutoff overflows
+    largest = cuts[-1] / base * grid_n
     if not (math.isfinite(largest) and round(largest) <= MAX_GRID_N):
         raise ValueError(
             f"scaled grid size grid_n * {cuts[-1]!r} / {base!r} = {largest!r}"
@@ -366,7 +366,7 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
         )
     out = []
     for c in cuts:
-        scaled_n = max(2, round(grid_n * c / base))
+        scaled_n = max(2, round(c / base * grid_n))
         ms = build_mode_set(m, scaled_n, c, volume)
         out.append((c, vacuum_bilinears(ms, m)))
     return out

@@ -12,6 +12,9 @@ captured, at COLUMNS=80. The corpus:
 - seeded random configs of every subcommand, in both output formats and
   with overrides in both spellings, whose numbers include +-0.0,
   subnormals, 1e+-300 and the largest floats;
+- vacuum grids at the float-range edges, which random configs rarely
+  build: subnormal cell centres with normal chi channels, the largest
+  float as cutoff, and a cutoff sweep whose ratio times grid_n overflows;
 - file faults: a missing file, a directory, an empty or truncated file,
   a BOM, and the malformed-file table of ``portable_checks``;
 - the argv corpus of ``portable_checks``, its config paths pointing at
@@ -177,6 +180,24 @@ def _random_configs(corpus: _Corpus, rng: random.Random, count: int) -> None:
         corpus.add("random configs", [command, corpus.file(cfg), *flags])
 
 
+def _vacuum_edges(corpus: _Corpus) -> None:
+    runs = []
+    for cutoff, volume in ((1e-310, 1e-300), (1.7976931348623157e308, 1.0)):
+        vacuum = {"grid_n": 4, "cutoff": cutoff, "volume": volume}
+        runs.append(("velocity", {"vacuum": vacuum}))
+        grids = {"parameter": "grid_n", "values": [3, 4, 5]}
+        runs.append(("vacuum-sweep", {"vacuum": vacuum, "sweep": grids}))
+    chain = {
+        "vacuum": {"grid_n": 4, "cutoff": 1e307, "volume": 1.0},
+        "sweep": {"parameter": "cutoff", "values": [1e307, 1e308]},
+    }
+    runs.append(("vacuum-sweep", chain))
+    for command, cfg in runs:
+        path = corpus.file({"material": _GOLDEN_MATERIAL, **cfg})
+        for fmt in ("csv", "json"):
+            corpus.add("vacuum edges", [command, path, "--format", fmt])
+
+
 def _file_faults(corpus: _Corpus) -> None:
     valid = {"material": _GOLDEN_MATERIAL, "boost": {"beta": 0.1}, "fields": _CROSSED_FIELDS}
     text = json.dumps(valid).encode()
@@ -249,6 +270,7 @@ def main(argv=None) -> int:
         os.makedirs(corpus.directory)
         _bench_ops(corpus, args.seed)
         _random_configs(corpus, random.Random(f"configs/{args.seed}"), args.count // 4)
+        _vacuum_edges(corpus)
         _file_faults(corpus)
         _argv_corpus(corpus, args.seed, args.count)
         corpus_path = os.path.join(tmp, "corpus.json")

@@ -451,6 +451,24 @@ def test_velocity_cutoffs_past_half_the_largest_float(tmp_path, capsys, cutoff):
     assert float(row["v_z"]) > 0.0
 
 
+def test_vacuum_sweep_cutoffs_near_the_largest_float(tmp_path, capsys):
+    # the scaled grid of 1e308 is 40 cells a side; grid_n * 1e308
+    # overflows before the division by 1e307 and once rejected it
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 4, "cutoff": 1e307, "volume": 1.0},
+            "sweep": {"parameter": "cutoff", "values": [1e307, 1e308]},
+        },
+    )
+    rc, out, err = run_cli(capsys, ["vacuum-sweep", path])
+    assert rc == 0, err
+    rows = read_rows(out)
+    # two modes per cell with 0 < |k| <= cutoff of the 4- and 40-cell grids
+    assert [int(r["mode_count"]) for r in rows] == [64, 67104]
+
+
 _TINY_RHO0 = dict(GOLDEN_MATERIAL, rho0=1e-320)
 _SPLIT_CONSTANTS = dict(GOLDEN_MATERIAL, epsilon=1e300, mu=1e-300)
 _HUGE_CONSTANTS = dict(GOLDEN_MATERIAL, epsilon=1e308, mu=1e308)
@@ -732,8 +750,22 @@ def test_transverse_residual_survives_extreme_fields(tmp_path, capsys, scale):
                 "sweep": {"parameter": "cutoff", "values": [1.0, 1e6]},
             },
         ),
+        # the cutoff ratio itself overflows
+        (
+            "vacuum-sweep",
+            {
+                "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+                "sweep": {"parameter": "cutoff", "values": [1e-300, 1e300]},
+            },
+        ),
     ],
-    ids=["vacuum-grid_n", "grid_n-sweep", "grid_n-sweep-inf", "cutoff-sweep"],
+    ids=[
+        "vacuum-grid_n",
+        "grid_n-sweep",
+        "grid_n-sweep-inf",
+        "cutoff-sweep",
+        "cutoff-sweep-inf",
+    ],
 )
 def test_grid_ceiling_is_config_error(tmp_path, capsys, monkeypatch, command, cfg):
     built = []

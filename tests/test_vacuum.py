@@ -1,5 +1,6 @@
 """Zero-point mode construction, vacuum bilinear sums, cutoff scaling."""
 
+import dataclasses
 import math
 import sys
 
@@ -11,6 +12,7 @@ from conftest import norm
 from polarization_reference import (
     amplitude,
     cell_centres,
+    full_grid,
     full_grid_closed_form,
     modes,
     pairs,
@@ -289,21 +291,30 @@ def test_summation_is_order_independent():
     assert vacuum_bilinears(reversed_ms, M_GENERIC) == vacuum_bilinears(ms, M_GENERIC)
 
 
-@pytest.mark.parametrize("cutoff", [1e-310, 1e-300, CUTOFF, 1e300])
+@pytest.mark.parametrize(
+    "cutoff, volume",
+    [
+        *(pytest.param(c, 1.0, id=str(c)) for c in (1e-310, 1e-300, CUTOFF, 1e300)),
+        pytest.param(1e-310, 1e-300, id="1e-310-volume-1e-300"),
+    ],
+)
 @pytest.mark.parametrize(
     "m",
     [M_EMPTY, M_COUPLED, M_GENERIC, M_SIGNED_ZEROS],
     ids=["empty", "coupled", "generic", "signed-zeros"],
 )
 @pytest.mark.parametrize("grid_n", [2, 3, 4, 5, 7, 8, 16, 17, 32, 33])
-def test_half_grid_sums_equal_full_grid_bitwise(grid_n, m, cutoff):
+def test_half_grid_sums_equal_full_grid_bitwise(grid_n, m, cutoff, volume):
     # at cutoff 1e-300 the terms are subnormal, where doubling a factor
     # of them instead of their sum would round differently; at 1e-310
-    # the cell centres are subnormal too. Odd grids hold the zero planes,
+    # the cell centres are subnormal too, and every term underflows to 0
+    # at volume 1 but the chi channels are normal at volume 1e-300, so a
+    # grid step rounded differently shows there. The zero-point energy
+    # has no volume and is 0 at 1e-310. Odd grids hold the zero planes,
     # whose pairs make orbits of fewer than four.
-    ms = build_mode_set(m, grid_n, cutoff, 1.0)
+    ms = build_mode_set(m, grid_n, cutoff, volume)
     got = vacuum_bilinears(ms, m)
-    want = full_grid_closed_form(cell_centres(grid_n, cutoff), m, 1.0)
+    want = full_grid_closed_form(cell_centres(grid_n, cutoff), m, volume)
     assert got == want
     # repr tells -0.0 from 0.0, which the CSV output would print
     assert repr(got) == repr(want)
@@ -318,6 +329,34 @@ def test_half_grid_sums_equal_full_grid_bitwise(grid_n, m, cutoff):
     for name in (*MAGNITUDE_CHANNELS, "zero_point_energy"):
         assert getattr(fast, name) is None, name
     assert fast.mode_count == got.mode_count
+
+
+# entries of any sign, as a caller may make them; build_mode_set makes
+# no entry of count 3
+_HAND_MADE = ((-3e4, -2e4, -5e4), (1e4, -7e4, 3e3), (-6e4, 4e4, 0.0), (2e4, 0.0, -8e4))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(1,) * 4, (2,) * 4, (3,) * 4, (4,) * 4, (3, 1, 4, 2)],
+    ids=["1", "2", "3", "4", "mixed"],
+)
+@pytest.mark.parametrize(
+    "m", [M_GENERIC, M_SIGNED_ZEROS], ids=["generic", "signed-zeros"]
+)
+def test_hand_made_entries_of_every_count(m, counts):
+    # each entry stands for its first count pairs, in both modes
+    entries = tuple((*k, count) for k, count in zip(_HAND_MADE, counts))
+    ms = ModeSet(entries, CUTOFF, 1.0, 4)
+    want = full_grid_closed_form(list(full_grid(ms)), m, 1.0)
+    got = vacuum_bilinears(ms, m)
+    assert repr(got) == repr(want)
+    fast = vacuum_bilinears(ms, m, magnitudes=False)
+    assert repr(fast) == repr(
+        dataclasses.replace(
+            want, **dict.fromkeys((*MAGNITUDE_CHANNELS, "zero_point_energy"))
+        )
+    )
 
 
 _unit = st.floats(-1.0, 1.0)
