@@ -357,17 +357,16 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError("cutoffs must be sorted ascending")
     base = cuts[0]
-    # dividing first keeps the ratio finite where grid_n * cutoff overflows
-    largest = cuts[-1] / base * grid_n
-    if not (math.isfinite(largest) and round(largest) <= MAX_GRID_N):
+    # grid_n * c / base settles ties such as 3 * 1.5; divide first only where it overflows
+    sizes = [grid_n * c / base if grid_n * c < math.inf else c / base * grid_n for c in cuts]
+    if not (math.isfinite(sizes[-1]) and round(sizes[-1]) <= MAX_GRID_N):
         raise ValueError(
-            f"scaled grid size grid_n * {cuts[-1]!r} / {base!r} = {largest!r}"
+            f"scaled grid size grid_n * {cuts[-1]!r} / {base!r} = {sizes[-1]!r}"
             f" exceeds MAX_GRID_N={MAX_GRID_N}"
         )
     out = []
-    for c in cuts:
-        scaled_n = max(2, round(c / base * grid_n))
-        ms = build_mode_set(m, scaled_n, c, volume)
+    for c, size in zip(cuts, sizes):
+        ms = build_mode_set(m, max(2, round(size)), c, volume)
         out.append((c, vacuum_bilinears(ms, m)))
     return out
 

@@ -446,6 +446,13 @@ def test_cutoff_sweep_scales_grid_with_cutoff():
     assert counts[2] > 4 * counts[1]
 
 
+def test_cutoff_sweep_rounds_a_scaled_grid_near_a_half():
+    # 3 * 1609146302.7355752 / 1072764201.8237168 is 4.5 + 1.7e-16
+    # exactly; dividing first rounds the ratio to 1.5, and 4.5 to grid 4
+    sweep = cutoff_sweep(M_EMPTY, 3, [1072764201.8237168, 1609146302.7355752], 1.0)
+    assert [bs.mode_count for _, bs in sweep] == [36, 160]
+
+
 def test_quartic_ultraviolet_growth():
     cuts = [
         20000.0,
