@@ -288,7 +288,7 @@ def vacuum_bilinears(
             minus_n2a2 * (az + (ux * s4y - vy * s4x)),
         )
         if magnitudes:
-            # the same on all four members (hypot takes |x|), entered per pair
+            # |E x B| and hbar c |k| / n: equal on all four members, entered per pair
             two_na2 = two_n * a2
             exb = hypot(two_na2 * ux, two_na2 * uy, two_na2 * uz)
             zpe = zpe_per_k * k

@@ -1,6 +1,5 @@
 """Zero-point mode construction, vacuum bilinear sums, cutoff scaling."""
 
-import dataclasses
 import math
 import sys
 
@@ -352,11 +351,10 @@ def test_hand_made_entries_of_every_count(m, counts):
     got = vacuum_bilinears(ms, m)
     assert repr(got) == repr(want)
     fast = vacuum_bilinears(ms, m, magnitudes=False)
-    assert repr(fast) == repr(
-        dataclasses.replace(
-            want, **dict.fromkeys((*MAGNITUDE_CHANNELS, "zero_point_energy"))
-        )
-    )
+    for name in ("e_cross_b", "e_cross_chiT_e", "b_cross_chi_b", "b_dot_chiT_e", "mode_count"):
+        assert repr(getattr(fast, name)) == repr(getattr(want, name)), name
+    for name in (*MAGNITUDE_CHANNELS, "zero_point_energy"):
+        assert getattr(fast, name) is None, name
 
 
 _unit = st.floats(-1.0, 1.0)
