@@ -65,13 +65,7 @@ def main():
 
     ms = build_mode_set(m, args.grid, args.cutoff, 1.0)
     sums = vacuum_bilinears(ms, m)
-    vac = velocity_from_bilinears(
-        m,
-        e_cross_b=sums.e_cross_b,
-        e_cross_chiT_e=sums.e_cross_chiT_e,
-        b_cross_chi_b=sums.b_cross_chi_b,
-        b_dot_chiT_e=sums.b_dot_chiT_e,
-    )
+    vac = velocity_from_bilinears(m, sums)
     report(f"vacuum expectation, {sums.mode_count} modes", vac, term_ratio_of(vac))
     print(f"  zero-point energy density: {sums.zero_point_energy:.6e} erg/cm^3")
 

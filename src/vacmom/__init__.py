@@ -42,6 +42,7 @@ from .lagrangian import (
     verify_expansion,
 )
 from .momentum import (
+    Bilinears,
     VelocityResult,
     lagrangian_consistency_check,
     medium_velocity,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearSums",
+    "Bilinears",
     "BoostSpec",
     "C_LIGHT",
     "ConfigError",

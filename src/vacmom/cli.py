@@ -257,13 +257,7 @@ def cmd_velocity(cfg: RunConfig, args) -> int:
     if cfg.vacuum is not None:
         ms = build_mode_set(m, cfg.vacuum.grid_n, cfg.vacuum.cutoff, cfg.vacuum.volume)
         sums = vacuum_bilinears(ms, m, magnitudes=False)
-        vr = velocity_from_bilinears(
-            m,
-            e_cross_b=sums.e_cross_b,
-            e_cross_chiT_e=sums.e_cross_chiT_e,
-            b_cross_chi_b=sums.b_cross_chi_b,
-            b_dot_chiT_e=sums.b_dot_chiT_e,
-        )
+        vr = velocity_from_bilinears(m, sums)
     else:
         if cfg.fields is None:
             raise ConfigError("velocity requires a fields or a vacuum section")

@@ -51,17 +51,21 @@ class VelocityResult(
     __slots__ = ()
 
 
-def velocity_from_bilinears(
-    m: Material,
-    e_cross_b: Vec3,
-    e_cross_chiT_e: Vec3,
-    b_cross_chi_b: Vec3,
-    b_dot_chiT_e: float,
-) -> VelocityResult:
+class Bilinears(
+    namedtuple("Bilinears", "e_cross_b e_cross_chiT_e b_cross_chi_b b_dot_chiT_e")
+):
+    """The velocity equation's bilinears: three Vec3 and B . chi^T E."""
+
+    __slots__ = ()
+
+
+def velocity_from_bilinears(m: Material, bilinears: Bilinears) -> VelocityResult:
     """Assemble the velocity equation from precomputed field bilinears.
 
     Classical single-field evaluation and vacuum-expectation evaluation
     share this path; the bilinears are substituted term for term.
+    bilinears is a Bilinears or any record with its four attributes,
+    such as the BilinearSums of vacuum_bilinears.
     Raises NonFiniteResult if a term (for instance at huge epsilon and
     mu) or the division by rho0 leaves the float range, or if
     epsilon mu underflows to 0, which leaves 1/n undefined.
@@ -74,10 +78,10 @@ def velocity_from_bilinears(
             f" epsilon={m.epsilon!r}, mu={m.mu!r}"
         )
     try:
-        am = e_cross_b.scale(pref * (m.epsilon * m.mu - 1.0))
-        chi_e = e_cross_chiT_e.scale(pref)
-        chi_b = b_cross_chi_b.scale(-pref)
-        mu_term_z = -pref * (n - 1.0 / n) * b_dot_chiT_e
+        am = bilinears.e_cross_b.scale(pref * (m.epsilon * m.mu - 1.0))
+        chi_e = bilinears.e_cross_chiT_e.scale(pref)
+        chi_b = bilinears.b_cross_chi_b.scale(-pref)
+        mu_term_z = -pref * (n - 1.0 / n) * bilinears.b_dot_chiT_e
         total = am + chi_e + chi_b + Vec3(0.0, 0.0, mu_term_z)
     except ValueError as exc:  # Vec3 rejects the non-finite components
         raise NonFiniteResult(
@@ -121,24 +125,18 @@ def medium_velocity(m: Material, f: FieldState) -> VelocityResult:
     """
     try:
         chi_t_e = mat_t_apply(m.chi, f.E)
-        e_cross_b = cross(f.E, f.B)
-        e_cross_chiT_e = cross(f.E, chi_t_e)
-        b_cross_chi_b = cross(f.B, mat_apply(m.chi, f.B))
         b_dot_chiT_e = dot(f.B, chi_t_e)
         if not math.isfinite(b_dot_chiT_e):
             raise ValueError(f"B . chi^T E must be finite, got {b_dot_chiT_e!r}")
+        bilinears = Bilinears(
+            cross(f.E, f.B), cross(f.E, chi_t_e), cross(f.B, mat_apply(m.chi, f.B)), b_dot_chiT_e
+        )
     except ValueError as exc:  # Vec3 rejects the non-finite components
         raise NonFiniteResult(
             "field bilinears leave the float range at"
             f" fields.E={list(f.E.as_tuple())!r}, fields.B={list(f.B.as_tuple())!r}"
         ) from exc
-    return velocity_from_bilinears(
-        m,
-        e_cross_b=e_cross_b,
-        e_cross_chiT_e=e_cross_chiT_e,
-        b_cross_chi_b=b_cross_chi_b,
-        b_dot_chiT_e=b_dot_chiT_e,
-    )
+    return velocity_from_bilinears(m, bilinears)
 
 
 def term_ratio_of(vr: VelocityResult) -> float | None:

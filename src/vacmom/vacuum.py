@@ -99,7 +99,8 @@ class ModeSet(namedtuple("ModeSet", "orbits cutoff volume grid_n")):
     the +/-k pairs (kx, ky, kz), (kx, ky, -kz), (kx, -ky, kz) and
     (kx, -ky, -kz), and each pair for k and -k, two polarization modes
     each. A ModeSet therefore counts four modes per pair. The sums
-    treat any entry this way, whether or not build_mode_set made it.
+    treat any entry with a count from 1 to 4 this way, whether or not
+    build_mode_set made it, and reject any other count.
     orbits is a tuple of such entries.
     """
 
@@ -136,18 +137,19 @@ class BilinearSums:
 def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> ModeSet:
     """Discretize the zero-point field below the cutoff.
 
-    grid_n in [2, MAX_GRID_N] cells per axis; cutoff in rad/cm; volume
-    in cm^3. The grid itself does not depend on the material m.
+    grid_n in [2, MAX_GRID_N] cells per axis; cutoff in rad/cm and
+    volume in cm^3, both finite and > 0. The grid itself does not
+    depend on the material m.
     Raises EmptyModeSet if the spherical filter removes everything.
     """
     if not 2 <= grid_n <= MAX_GRID_N:
         raise ValueError(
             f"grid_n must lie in [2, MAX_GRID_N={MAX_GRID_N}], got {grid_n!r}"
         )
-    if not cutoff > 0.0:
-        raise ValueError(f"cutoff must be > 0, got {cutoff!r}")
-    if not volume > 0.0:
-        raise ValueError(f"volume must be > 0, got {volume!r}")
+    if not 0.0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be finite and > 0, got {cutoff!r}")
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"volume must be finite and > 0, got {volume!r}")
 
     # the one rounding of 2 cutoff / grid_n: grid_n / 2 is exact, and
     # unlike 2.0 * cutoff the quotient cannot overflow
@@ -201,7 +203,8 @@ def vacuum_bilinears(
     magnitudes=False computes only the signed sums, which are all the
     velocity equation reads; the abs_* fields and zero_point_energy are
     then None. The signed sums are bit for bit those of the default call.
-    Raises NonFiniteResult if a computed sum leaves the float range, or
+    Raises ValueError if an orbit's count is not 1 to 4, and
+    NonFiniteResult if a computed sum leaves the float range, or
     if n V underflows to 0, which leaves the amplitude undefined.
     """
     if not ms.orbits:
@@ -299,7 +302,9 @@ def vacuum_bilinears(
                 exb, abs(na2 * (f + r)), zpe, exb, abs(na2 * (f - r)), zpe,
                 exb, abs(na2 * (g + r)), zpe, exb, abs(na2 * (g - r)), zpe,
             )
-        if count < 4:
+        if count != 4:
+            if not 0 < count < 4:
+                raise ValueError(f"orbit count must be 1 to 4, got {(kx, ky, kz, count)!r}")
             # keep the records of the orbit's count distinct pairs
             del signed[48 * (count - 4) :]
             del unsigned[24 * (count - 4) :]
@@ -346,14 +351,15 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     The grid is scaled proportionally with the cutoff (constant cell
     size in k space), so the sweep probes the ultraviolet growth rather
     than discretization changes. Returns a list of (cutoff, BilinearSums).
-    Raises ValueError before building any grid if the largest scaled
-    grid_n exceeds MAX_GRID_N.
+    Raises ValueError before building any grid if a cutoff is not
+    finite and > 0, if the cutoffs do not ascend, or if the largest
+    scaled grid_n exceeds MAX_GRID_N.
     """
     cuts = [float(c) for c in cutoffs]
     if not cuts:
         raise ValueError("cutoffs must be nonempty")
-    if any(c <= 0.0 for c in cuts):
-        raise ValueError("cutoffs must be > 0")
+    if not all(0.0 < c < math.inf for c in cuts):
+        raise ValueError(f"cutoffs must be finite and > 0, got {cuts!r}")
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError("cutoffs must be sorted ascending")
     base = cuts[0]

@@ -15,6 +15,7 @@ captured, at COLUMNS=80. The corpus:
 - vacuum grids at the float-range edges, which random configs rarely
   build: subnormal cell centres with normal chi channels, the largest
   float as cutoff, and a cutoff sweep whose ratio times grid_n overflows;
+  and cutoff sweeps that hold nan, inf, 0 or a negative value;
 - file faults: a missing file, a directory, an empty or truncated file,
   a BOM, and the malformed-file table of ``portable_checks``;
 - the argv corpus of ``portable_checks``, its config paths pointing at
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -192,6 +194,10 @@ def _vacuum_edges(corpus: _Corpus) -> None:
         "sweep": {"parameter": "cutoff", "values": [1e307, 1e308]},
     }
     runs.append(("vacuum-sweep", chain))
+    vacuum = {"grid_n": 4, "cutoff": 1e5, "volume": 1.0}
+    for bad in ([1e5, math.nan, 2e5], [math.nan, 1e5], [1e5, math.inf], [0.0, 1e5], [-1e4, 1e5]):
+        sweep = {"parameter": "cutoff", "values": bad}
+        runs.append(("vacuum-sweep", {"vacuum": vacuum, "sweep": sweep}))
     for command, cfg in runs:
         path = corpus.file({"material": _GOLDEN_MATERIAL, **cfg})
         for fmt in ("csv", "json"):

@@ -261,6 +261,17 @@ def _reference_cell(value) -> str:
     return str(value)
 
 
+def expected_csv(rows) -> str:
+    """What cli._emit writes as CSV for rows of (column, value) pairs:
+    csv.writer's lines for the first row's columns and each row's cells."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow([column for column, _ in rows[0]])
+    for row in rows:
+        writer.writerow([_reference_cell(v) for _, v in row])
+    return expected.getvalue()
+
+
 def check_csv(seed: int, count: int) -> tuple[str, list[str]]:
     rng = random.Random(f"csv/{seed}")
     failures = []
@@ -269,15 +280,10 @@ def check_csv(seed: int, count: int) -> tuple[str, list[str]]:
             [(rng.choice(_COLUMNS), _csv_value(rng)) for _ in range(1 + rng.randrange(16))]
             for _ in range(1 + rng.randrange(4))
         ]
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow([column for column, _ in rows[0]])
-        for row in rows:
-            writer.writerow([_reference_cell(v) for _, v in row])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit(None, argparse.Namespace(format="csv"), rows)
-        if out.getvalue() != expected.getvalue():
+        if out.getvalue() != expected_csv(rows):
             failures.append(f"{rows!r}")
     return f"{count} tables", failures
 

@@ -15,6 +15,7 @@ import vacmom
 from conftest import XHAT, YHAT, diagonal, neg, norm, transpose
 from vacmom import (
     BilinearSums,
+    Bilinears,
     BoostSpec,
     FieldState,
     Mat3,
@@ -255,6 +256,7 @@ def _records():
         me_density_first_order(m, f, _B),
         verify_expansion(m, f, cfg.sweep.values),
         medium_velocity(m, f),
+        Bilinears(f.E, f.E, f.B, 0.0),
         cfg.vacuum,
         cfg.sweep,
         cfg,
@@ -264,7 +266,7 @@ def _records():
 
 def test_records_are_immutable():
     records = _records()
-    assert len({type(r) for r in records}) == 13
+    assert len({type(r) for r in records}) == 14
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], getattr(record, record._fields[-1]))
@@ -295,4 +297,4 @@ def test_bilinear_sums_is_the_only_dataclass():
         if isinstance(obj, type) and obj.__module__.startswith("vacmom.")
     }
     assert [c for c in classes if dataclasses.is_dataclass(c)] == [BilinearSums]
-    assert len(classes) > 13
+    assert len(classes) > 14

@@ -25,7 +25,7 @@ from vacmom import MAX_GRID_N, ConfigError, EmptyModeSet, Vec3, parse_config
 from vacmom.config import config_to_dict, load_config
 
 from conftest import src_env
-from portable_checks import MALFORMED_FILES, parse_outcome
+from portable_checks import MALFORMED_FILES, expected_csv, parse_outcome
 from test_acceptance import PINNED_CSV_HEADER
 
 GOLDEN_MATERIAL = {
@@ -932,24 +932,10 @@ _csv_values = st.one_of(
     )
 )
 def test_csv_is_written_as_csv_writer_writes_it(rows):
-    def cell(value):
-        if isinstance(value, float):
-            return format(value, ".17g")
-        if value is None:
-            return "nan"
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
-
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow([column for column, _ in rows[0]])
-    for row in rows:
-        writer.writerow([cell(v) for _, v in row])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(None, argparse.Namespace(format="csv"), rows)
-    assert out.getvalue() == expected.getvalue()
+    assert out.getvalue() == expected_csv(rows)
 
 
 def test_emit_gets_no_subclass_of_a_builtin_type(tmp_path, capsys, monkeypatch):
@@ -1154,25 +1140,37 @@ def test_input_rules_are_checked_in_order(tmp_path, capsys, command, cfg, flags,
     assert err.startswith(f"config error: {message}")
 
 
+def _cutoffs(*values):
+    return {"sweep": {"parameter": "cutoff", "values": list(values)}}
+
+
 @pytest.mark.parametrize(
-    "command, vacuum_spec, flags, field",
+    "command, edits, flags, field",
     [
-        ("velocity", {"cutoff": math.inf}, (), "vacuum.cutoff"),
-        ("velocity", {"volume": math.inf}, (), "vacuum.volume"),
-        ("vacuum-sweep", {"volume": math.inf}, (), "vacuum.volume"),
+        ("velocity", {"vacuum": {"cutoff": math.inf}}, (), "vacuum.cutoff"),
+        ("velocity", {"vacuum": {"volume": math.inf}}, (), "vacuum.volume"),
+        ("vacuum-sweep", {"vacuum": {"volume": math.inf}}, (), "vacuum.volume"),
         ("velocity", {}, ("--cutoff", "inf"), "--cutoff"),
+        # once failed converting nan to a grid size, after the 1e5 grid
+        ("vacuum-sweep", _cutoffs(1e5, math.nan, 2e5), (), "sweep.values"),
+        ("vacuum-sweep", _cutoffs(math.nan, 1e5), (), "sweep.values"),
+        ("vacuum-sweep", _cutoffs(1e5, math.inf), (), "sweep.values"),
     ],
-    ids=["cutoff", "volume", "sweep-volume", "cutoff-override"],
+    ids=[
+        "cutoff", "volume", "sweep-volume", "cutoff-override",
+        "sweep-nan-cutoff", "sweep-nan-base-cutoff", "sweep-inf-cutoff",
+    ],
 )
-def test_infinite_vacuum_size_is_config_error(
-    tmp_path, capsys, command, vacuum_spec, flags, field
-):
-    # json writes math.inf as the token Infinity, which json.load accepts
+def test_infinite_vacuum_size_is_config_error(tmp_path, capsys, command, edits, flags, field):
+    # json writes math.inf and math.nan as the tokens Infinity and NaN,
+    # which json.load accepts
     cfg = {
         "material": GOLDEN_MATERIAL,
-        "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0, **vacuum_spec},
+        "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
         "sweep": {"parameter": "grid_n", "values": [4, 6]},
     }
+    for section, values in edits.items():
+        cfg[section] = {**cfg[section], **values}
     path = write_config(tmp_path, cfg)
     rc, out, err = run_cli(capsys, [command, path, *flags])
     assert rc == 2

@@ -2,15 +2,23 @@
 
 import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, neg, transpose
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
+    BilinearSums,
+    Bilinears,
     BoostSpec,
     FieldState,
     Mat3,
     Material,
+    NonFiniteResult,
     Vec3,
     ZHAT,
+    build_mode_set,
     cross,
     dot,
     lagrangian_consistency_check,
@@ -18,6 +26,8 @@ from vacmom import (
     medium_velocity,
     me_density_first_order,
     term_ratio_of,
+    vacuum_bilinears,
+    velocity_from_bilinears,
 )
 
 CHI_G = Mat3(0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -205,3 +215,108 @@ def test_cross_product_orientation_of_am_term():
     res = medium_velocity(m, FieldState(XHAT, YHAT))
     assert res.v_z > 0.0
     assert cross(XHAT, YHAT) == ZHAT
+
+
+M_GENERIC = Material(
+    2.6, 0.74, Mat3(-0.09, -0.16, -0.38, 0.33, 0.33, -0.25, -0.41, 0.13, -0.3), 1.7
+)
+# every signed channel nonzero, unlike a vacuum sum's odd ones
+_HAND_SUMS = BilinearSums(
+    e_cross_b=Vec3(0.3, -1.2, 2.5),
+    e_cross_chiT_e=Vec3(-0.07, 0.11, 0.4),
+    b_cross_chi_b=Vec3(0.21, 0.05, -0.33),
+    b_dot_chiT_e=-0.8,
+    abs_e_cross_b=None,
+    abs_e_cross_chiT_e=None,
+    abs_b_cross_chi_b=None,
+    abs_b_dot_chiT_e=None,
+    mode_count=4,
+    zero_point_energy=None,
+)
+
+
+@pytest.mark.parametrize("kind", ["vacuum", "hand-made"])
+def test_bilinear_sums_give_the_velocity_of_their_bilinears(kind):
+    if kind == "vacuum":
+        sums = vacuum_bilinears(build_mode_set(M_GENERIC, 6, 1e5, 1.0), M_GENERIC)
+    else:
+        sums = _HAND_SUMS
+    own = Bilinears(sums.e_cross_b, sums.e_cross_chiT_e, sums.b_cross_chi_b, sums.b_dot_chiT_e)
+    assert repr(velocity_from_bilinears(M_GENERIC, sums)) == repr(
+        velocity_from_bilinears(M_GENERIC, own)
+    )
+
+
+def _hand_bilinears(m, f):
+    """The four bilinears written out component by component."""
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    (ex, ey, ez), (bx, by, bz) = f
+    # t = chi^T E and s = chi B
+    tx = xx * ex + yx * ey + zx * ez
+    ty = xy * ex + yy * ey + zy * ez
+    tz = xz * ex + yz * ey + zz * ez
+    sx = xx * bx + xy * by + xz * bz
+    sy = yx * bx + yy * by + yz * bz
+    sz = zx * bx + zy * by + zz * bz
+    return Bilinears(
+        Vec3(ey * bz - ez * by, ez * bx - ex * bz, ex * by - ey * bx),
+        Vec3(ey * tz - ez * ty, ez * tx - ex * tz, ex * ty - ey * tx),
+        Vec3(by * sz - bz * sy, bz * sx - bx * sz, bx * sy - by * sx),
+        bx * tx + by * ty + bz * tz,
+    )
+
+
+_component = st.floats(-1e3, 1e3)
+_vec = st.builds(Vec3, _component, _component, _component)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eps=st.floats(0.3, 4.0),
+    mu=st.floats(0.3, 4.0),
+    chi=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+    rho0=st.floats(0.1, 10.0),
+    f=st.builds(FieldState, _vec, _vec),
+)
+def test_classical_velocity_is_the_velocity_of_its_bilinears(eps, mu, chi, rho0, f):
+    m = Material(eps, mu, Mat3(*chi), rho0)
+    assert repr(medium_velocity(m, f)) == repr(velocity_from_bilinears(m, _hand_bilinears(m, f)))
+
+
+_BIG = Vec3(1e300, 0.0, 0.0)
+_UNIT_CHI = Material(2.25, 1.0, diagonal(1.0, 1.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: velocity_from_bilinears(Material(1e-200, 1e-200, CHI_G, 1.0), _HAND_SUMS),
+            "the index n = sqrt(epsilon mu) underflows to 0 at epsilon=1e-200, mu=1e-200",
+        ),
+        (
+            lambda: velocity_from_bilinears(Material(1e308, 1e308, CHI_G, 1.0), _HAND_SUMS),
+            "velocity terms leave the float range at epsilon=1e+308, mu=1e+308",
+        ),
+        (
+            lambda: velocity_from_bilinears(Material(2.25, 1.0, CHI_G, 1e-320), _HAND_SUMS),
+            "velocity leaves the float range at rho0=1e-320",
+        ),
+        (
+            lambda: medium_velocity(M_GOLDEN, FieldState(XHAT.scale(1e200), YHAT.scale(1e200))),
+            "field bilinears leave the float range at"
+            " fields.E=[1e+200, 0.0, 0.0], fields.B=[0.0, 1e+200, 0.0]",
+        ),
+        (
+            # parallel E and B: every cross product is 0, B . chi^T E overflows
+            lambda: medium_velocity(_UNIT_CHI, FieldState(_BIG, _BIG)),
+            "field bilinears leave the float range at"
+            " fields.E=[1e+300, 0.0, 0.0], fields.B=[1e+300, 0.0, 0.0]",
+        ),
+    ],
+    ids=["index-underflow", "terms-overflow", "rho0-underflow", "cross-overflow", "dot-overflow"],
+)
+def test_non_finite_result_messages(call, message):
+    with pytest.raises(NonFiniteResult) as exc:
+        call()
+    assert str(exc.value) == message

@@ -17,6 +17,7 @@ from polarization_reference import (
     pairs,
     reference_bilinears,
 )
+import vacmom.vacuum as vacuum
 from vacmom.constants import C_LIGHT, HBAR
 from vacmom import (
     MAGNITUDE_CHANNELS,
@@ -173,14 +174,18 @@ def test_odd_grid_excludes_origin_and_covers_axial_reference_branch():
 def test_build_validation():
     with pytest.raises(ValueError):
         build_mode_set(M_EMPTY, 1, CUTOFF, 1.0)
-    with pytest.raises(ValueError):
-        build_mode_set(M_EMPTY, 4, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        build_mode_set(M_EMPTY, 4, -1e5, 1.0)
-    with pytest.raises(ValueError):
-        build_mode_set(M_EMPTY, 4, CUTOFF, 0.0)
     with pytest.raises(ValueError, match="MAX_GRID_N"):
         build_mode_set(M_EMPTY, MAX_GRID_N + 1, CUTOFF, 1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e5, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["cutoff", "volume"])
+def test_build_rejects_a_cutoff_or_volume_not_finite_and_positive(name, value):
+    # at cutoff inf every cell centre was (-inf, -inf, -inf), and at
+    # volume inf every signed sum was 0
+    kwargs = {"cutoff": CUTOFF, "volume": 1.0, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {value!r}$"):
+        build_mode_set(M_EMPTY, 4, **kwargs)
 
 
 def test_empty_mode_set_rejected_by_summation():
@@ -357,6 +362,17 @@ def test_hand_made_entries_of_every_count(m, counts):
         assert getattr(fast, name) is None, name
 
 
+@pytest.mark.parametrize("count", [0, 5, -1])
+@pytest.mark.parametrize("magnitudes", [True, False])
+def test_entries_of_a_count_outside_1_to_4_are_rejected(count, magnitudes):
+    # a count of 5 once summed 4 pairs while mode_count counted 5, and
+    # -1 trimmed records of the entry before it
+    entries = ((*_HAND_MADE[0], 4), (*_HAND_MADE[1], count))
+    ms = ModeSet(entries, CUTOFF, 1.0, 4)
+    with pytest.raises(ValueError, match=rf"^orbit count must be 1 to 4, got \(.*, {count}\)$"):
+        vacuum_bilinears(ms, M_GENERIC, magnitudes=magnitudes)
+
+
 _unit = st.floats(-1.0, 1.0)
 # entries below 1e-6 could push every chi channel into the subnormal
 # range, where no sum holds 1e-12 of its scale
@@ -430,9 +446,22 @@ def test_cutoff_sweep_validation():
     with pytest.raises(ValueError):
         cutoff_sweep(M_COUPLED, 4, [1e5, 5e4], 1.0)
     with pytest.raises(ValueError):
-        cutoff_sweep(M_COUPLED, 4, [-1e4, 1e5], 1.0)
-    with pytest.raises(ValueError):
         cutoff_sweep(M_COUPLED, 4, [1e5, 1e5], 1.0)
+
+
+@pytest.mark.parametrize(
+    "cutoffs",
+    [[-1e4, 1e5], [0.0, 1e5], [1e5, math.nan, 2e5], [math.nan, 1e5], [1e5, math.inf]],
+    ids=["negative", "zero", "nan-after-base", "nan-base", "inf"],
+)
+def test_cutoff_sweep_rejects_a_cutoff_not_finite_and_positive(cutoffs, monkeypatch):
+    # a nan after the first cutoff once failed only after the grids
+    # before it were built and summed
+    built = []
+    monkeypatch.setattr(vacuum, "build_mode_set", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="^cutoffs must be finite and > 0, got "):
+        cutoff_sweep(M_COUPLED, 4, cutoffs, 1.0)
+    assert built == []
 
 
 def test_cutoff_sweep_scales_grid_with_cutoff():
