@@ -99,9 +99,6 @@ class Mat3(_checked("Mat3", "xx xy xz yx yy yz zx zy zz")):
     def zero(cls) -> "Mat3":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def rows(self):
-        return self[0:3], self[3:6], self[6:9]
-
 
 def mat_apply(m: Mat3, v: Vec3) -> Vec3:
     """Matrix-vector product M v (column-vector semantics)."""

@@ -65,7 +65,7 @@ class ExpansionReport(
 def me_density_exact(m: Material, f: FieldState, b: BoostSpec) -> float:
     """(1/mu'(beta)) B' . chi^T E' with exact transforms throughout."""
     tc = transform_constants(m, b)
-    fp = transform_fields(f, b, "exact")
+    fp = transform_fields(f, b)
     return (1.0 / tc.mu_prime) * dot(fp.B, mat_t_apply(m.chi, fp.E))
 
 
@@ -121,11 +121,11 @@ def isolate_mu_term(m: Material, f: FieldState, b: BoostSpec) -> float:
 
 
 def _out_of_range(m: Material, f: FieldState) -> str:
-    chi = max(abs(c) for row in m.chi.rows() for c in row)
+    chi = max(map(abs, m.chi))
     return (
         "expand-check densities leave the float range at"
         f" epsilon={m.epsilon!r}, mu={m.mu!r}, chi up to {chi!r},"
-        f" fields.E={list(f.E.as_tuple())!r}, fields.B={list(f.B.as_tuple())!r}"
+        f" fields.E={list(f.E)!r}, fields.B={list(f.B)!r}"
     )
 
 

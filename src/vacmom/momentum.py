@@ -134,7 +134,7 @@ def medium_velocity(m: Material, f: FieldState) -> VelocityResult:
     except ValueError as exc:  # Vec3 rejects the non-finite components
         raise NonFiniteResult(
             "field bilinears leave the float range at"
-            f" fields.E={list(f.E.as_tuple())!r}, fields.B={list(f.B.as_tuple())!r}"
+            f" fields.E={list(f.E)!r}, fields.B={list(f.B)!r}"
         ) from exc
     return velocity_from_bilinears(m, bilinears)
 

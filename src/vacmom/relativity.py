@@ -26,9 +26,7 @@ from .algebra import BoostSpec, FieldState, Material, Vec3
 from .errors import DegenerateBoost
 
 
-class TransformedConstants(
-    namedtuple("TransformedConstants", "epsilon_prime mu_prime beta")
-):
+class TransformedConstants(namedtuple("TransformedConstants", "epsilon_prime mu_prime")):
     __slots__ = ()
 
 
@@ -41,7 +39,7 @@ def transform_constants(m: Material, b: BoostSpec) -> TransformedConstants:
     constants bit-identically.
     """
     if b.beta == 0.0:
-        return TransformedConstants(m.epsilon, m.mu, 0.0)
+        return TransformedConstants(m.epsilon, m.mu)
     n = m.index
     denom = 1.0 + n * b.beta
     if denom <= 0.0:
@@ -51,7 +49,7 @@ def transform_constants(m: Material, b: BoostSpec) -> TransformedConstants:
     factor = (n + b.beta) / denom
     mu_prime = math.sqrt(m.mu / m.epsilon) * factor
     epsilon_prime = math.sqrt(m.epsilon / m.mu) * factor
-    return TransformedConstants(epsilon_prime, mu_prime, b.beta)
+    return TransformedConstants(epsilon_prime, mu_prime)
 
 
 def index_of(tc: TransformedConstants) -> float:
@@ -68,15 +66,12 @@ def index_of(tc: TransformedConstants) -> float:
     )
 
 
-def transform_fields(f: FieldState, b: BoostSpec, order: str = "exact") -> FieldState:
+def transform_fields(f: FieldState, b: BoostSpec) -> FieldState:
     """Field pair in the frame where the medium moves at +beta z.
 
-    order="exact": longitudinal components unchanged, transverse ones
-    get the usual gamma (E_t + beta x B) / gamma (B_t - beta x E) form.
-    order="first_order": E' = E + beta x B, B' = B - beta x E, gamma = 1.
+    Longitudinal components are unchanged; transverse ones get the
+    exact gamma (E_t + beta x B) / gamma (B_t - beta x E) form.
     """
-    if order not in ("exact", "first_order"):
-        raise ValueError(f"order must be 'exact' or 'first_order', got {order!r}")
     # (beta z) x B and (beta z) x E with the 0.0 products of cross(): each
     # operation is that of the vector form, in its order, signed zeros too
     beta = b.beta
@@ -84,10 +79,6 @@ def transform_fields(f: FieldState, b: BoostSpec, order: str = "exact") -> Field
     bx, by, bz = f.B
     zbx, zby, zbz = 0.0 * bz - beta * by, beta * bx - 0.0 * bz, 0.0 * by - 0.0 * bx
     zex, zey, zez = 0.0 * ez - beta * ey, beta * ex - 0.0 * ez, 0.0 * ey - 0.0 * ex
-    if order == "first_order":
-        return FieldState(
-            Vec3(ex + zbx, ey + zby, ez + zbz), Vec3(bx - zex, by - zey, bz - zez)
-        )
     g = 1.0 / math.sqrt(1.0 - beta * beta)
     # E_par + gamma (E_perp + beta z x B) and B_par + gamma (B_perp - beta z x E)
     return FieldState(

@@ -134,18 +134,23 @@ class BilinearSums:
     zero_point_energy: float | None
 
 
+def _check_grid_n(grid_n) -> None:
+    # type(), since a bool is an int to isinstance
+    if type(grid_n) is not int or not 2 <= grid_n <= MAX_GRID_N:
+        raise ValueError(
+            f"grid_n must be an integer in [2, MAX_GRID_N={MAX_GRID_N}], got {grid_n!r}"
+        )
+
+
 def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> ModeSet:
     """Discretize the zero-point field below the cutoff.
 
-    grid_n in [2, MAX_GRID_N] cells per axis; cutoff in rad/cm and
+    grid_n an int in [2, MAX_GRID_N] cells per axis; cutoff in rad/cm and
     volume in cm^3, both finite and > 0. The grid itself does not
     depend on the material m.
     Raises EmptyModeSet if the spherical filter removes everything.
     """
-    if not 2 <= grid_n <= MAX_GRID_N:
-        raise ValueError(
-            f"grid_n must lie in [2, MAX_GRID_N={MAX_GRID_N}], got {grid_n!r}"
-        )
+    _check_grid_n(grid_n)
     if not 0.0 < cutoff < math.inf:
         raise ValueError(f"cutoff must be finite and > 0, got {cutoff!r}")
     if not 0.0 < volume < math.inf:
@@ -216,7 +221,7 @@ def vacuum_bilinears(
             "the zero-point amplitude is undefined: n * volume underflows to 0"
             f" at epsilon={m.epsilon!r}, mu={m.mu!r}, volume={ms.volume!r}"
         )
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = m.chi
     ax, ay, az = yz - zy, zx - xz, xy - yx
     a2_per_k = 2.0 * math.pi * HBAR * C_LIGHT / n_volume
     zpe_per_k = HBAR * C_LIGHT / n
@@ -351,10 +356,12 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     The grid is scaled proportionally with the cutoff (constant cell
     size in k space), so the sweep probes the ultraviolet growth rather
     than discretization changes. Returns a list of (cutoff, BilinearSums).
-    Raises ValueError before building any grid if a cutoff is not
-    finite and > 0, if the cutoffs do not ascend, or if the largest
-    scaled grid_n exceeds MAX_GRID_N.
+    Raises ValueError before building any grid if grid_n is not an int
+    in [2, MAX_GRID_N], if a cutoff is not finite and > 0, if the
+    cutoffs do not ascend, or if the largest scaled grid_n exceeds
+    MAX_GRID_N.
     """
+    _check_grid_n(grid_n)
     cuts = [float(c) for c in cutoffs]
     if not cuts:
         raise ValueError("cutoffs must be nonempty")
@@ -370,9 +377,10 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
             f"scaled grid size grid_n * {cuts[-1]!r} / {base!r} = {sizes[-1]!r}"
             f" exceeds MAX_GRID_N={MAX_GRID_N}"
         )
+    # every size is at least grid_n, since no cutoff is below the base
     out = []
     for c, size in zip(cuts, sizes):
-        ms = build_mode_set(m, max(2, round(size)), c, volume)
+        ms = build_mode_set(m, round(size), c, volume)
         out.append((c, vacuum_bilinears(ms, m)))
     return out
 

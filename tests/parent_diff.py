@@ -11,7 +11,8 @@ captured, at COLUMNS=80. The corpus:
   ``bench/workloads.Generator`` at its tiny sizes;
 - seeded random configs of every subcommand, in both output formats and
   with overrides in both spellings, whose numbers include +-0.0,
-  subnormals, 1e+-300 and the largest floats;
+  subnormals, 1e+-300 and the largest floats, and whose vacuum sweeps
+  now and then hold a value that breaks a sweep rule;
 - vacuum grids at the float-range edges, which random configs rarely
   build: subnormal cell centres with normal chi channels, the largest
   float as cutoff, and a cutoff sweep whose ratio times grid_n overflows;
@@ -162,18 +163,29 @@ def _random_run(rng: random.Random) -> tuple[str, dict, list[str]]:
             "volume": _number(rng, positive=True),
         }
         if command == "vacuum-sweep":
-            if rng.random() < 0.5:
-                factors = sorted(rng.sample((1.0, 1.5, 2.0, 3.0), rng.randint(1, 3)))
-                values = [cfg["vacuum"]["cutoff"] * f for f in factors]
-                cfg["sweep"] = {"parameter": "cutoff", "values": values}
-            else:
-                grids = [rng.randint(2, 6) for _ in range(2)]
-                cfg["sweep"] = {"parameter": "grid_n", "values": grids}
+            cfg["sweep"] = _sweep(rng, cfg["vacuum"]["cutoff"])
         if rng.random() < 0.3:
             options.append(_spelled(rng, "--cutoff", repr(_number(rng, positive=True))))
     options.append(_spelled(rng, "--format", rng.choice(("csv", "json"))))
     rng.shuffle(options)
     return command, cfg, [token for option in options for token in option]
+
+
+def _sweep(rng: random.Random, cutoff: float) -> dict:
+    """A cutoff or grid_n sweep; in one draw of four, its values break a
+    sweep rule."""
+    bad = rng.random() < 0.25
+    if rng.random() < 0.5:
+        if bad:
+            values = rng.choice(portable_checks.rejected_cutoffs(abs(cutoff)))
+        else:
+            factors = sorted(rng.sample((1.0, 1.5, 2.0, 3.0), rng.randint(1, 3)))
+            values = [cutoff * f for f in factors]
+        return {"parameter": "cutoff", "values": values}
+    grids = [rng.randint(2, 6) for _ in range(2)]
+    if bad:
+        grids.insert(rng.randint(0, 2), rng.choice(portable_checks.REJECTED_GRID_NS))
+    return {"parameter": "grid_n", "values": grids}
 
 
 def _random_configs(corpus: _Corpus, rng: random.Random, count: int) -> None:

@@ -160,7 +160,7 @@ def full_grid_closed_form(grid, m: Material, volume: float) -> BilinearSums:
     cancellation over the grid is measured, not assumed.
     """
     n = m.index
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = m.chi
     ax, ay, az = yz - zy, zx - xz, xy - yx
     a2_per_k = 2.0 * math.pi * HBAR * C_LIGHT / (n * volume)
     zpe_per_k = HBAR * C_LIGHT / n

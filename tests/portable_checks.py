@@ -40,7 +40,7 @@ import tempfile
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from vacmom import cli  # noqa: E402
+from vacmom import MAX_GRID_N, cli  # noqa: E402
 
 SUBCOMMANDS = tuple(cli._SUBCOMMANDS)
 
@@ -334,6 +334,21 @@ MALFORMED_FILES = {
         "duplicate key 'boost'",
     ),
 }
+
+
+def rejected_cutoffs(c: float) -> list[list[float]]:
+    """Cutoff sweep values at a vacuum cutoff c > 0 that the CLI must
+    reject, one rule broken in each, at every grid_n from 2: unsorted,
+    repeated, <= 0, nan, inf, and a scaled grid past MAX_GRID_N. The
+    CLI fuzz test and tests/parent_diff.py draw them."""
+    return [
+        [2.0 * c, c], [c, c], [0.0, c], [-c, c], [c, math.nan], [c, math.inf],
+        [c, c * (MAX_GRID_N / 2 + 1)],
+    ]
+
+
+# grid_n sweep values the CLI must reject: not integers in [2, MAX_GRID_N]
+REJECTED_GRID_NS = (4.5, 1, MAX_GRID_N + 1, math.nan)
 
 
 def check_malformed_files(seed: int, count: int) -> tuple[str, list[str]]:

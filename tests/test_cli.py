@@ -25,7 +25,13 @@ from vacmom import MAX_GRID_N, ConfigError, EmptyModeSet, Vec3, parse_config
 from vacmom.config import config_to_dict, load_config
 
 from conftest import src_env
-from portable_checks import MALFORMED_FILES, expected_csv, parse_outcome
+from portable_checks import (
+    MALFORMED_FILES,
+    REJECTED_GRID_NS,
+    expected_csv,
+    parse_outcome,
+    rejected_cutoffs,
+)
 from test_acceptance import PINNED_CSV_HEADER
 
 GOLDEN_MATERIAL = {
@@ -1408,12 +1414,14 @@ _beta_grid = st.lists(
 
 @st.composite
 def _any_run(draw):
-    """One run of any command: (command, config, extra argv).
+    """One run of any command: (command, config, extra argv, whether a
+    sweep value must be rejected).
 
     transform (config boost, beta sweep, both or --beta), expand-check
     (default or drawn grid), velocity (vacuum or classical) and
     vacuum-sweep (cutoff or grid_n), those with a vacuum section with
-    or without --cutoff, which may override the swept parameter. Each
+    or without --cutoff, which may override the swept parameter. In
+    about one vacuum sweep of five a value breaks a sweep rule. Each
     option is spelled as one token or as two, with a value written by
     repr, so negative exponents come up. In about one draw of five the
     sweep is replaced by one of a parameter the command does not read,
@@ -1422,7 +1430,7 @@ def _any_run(draw):
     range, and in another a section is repeated; json.dumps cannot
     write a repeated key, so that config comes as its JSON text.
     """
-    command, cfg, flags = draw(_run_of_each_command())
+    command, cfg, flags, rejected = draw(_run_of_each_command())
     if draw(st.integers(0, 9)) == 9:
         flags = (*flags, draw(st.sampled_from(("--beta=--", "--cutoff=--", "--format=--"))))
     if draw(st.integers(0, 4)) == 4:
@@ -1447,7 +1455,7 @@ def _any_run(draw):
     elif fault == 9:
         section = draw(st.sampled_from(sorted(cfg)))
         cfg = json.dumps(cfg)[:-1] + f", {json.dumps(section)}: {json.dumps(cfg[section])}}}"
-    return command, cfg, flags
+    return command, cfg, flags, rejected
 
 
 def _spelled(draw, option, value):
@@ -1483,31 +1491,40 @@ def _run_of_each_command(draw):
         flags = ()
         if kind == "transform-beta":
             flags = _spelled(draw, "--beta", repr(draw(_beta)))
-        return "transform", cfg, flags
+        return "transform", cfg, flags, False
     if kind in ("expand-check", "classical"):
         cfg["fields"] = {"E": draw(_vector), "B": draw(_vector)}
         if kind == "classical":
-            return "velocity", cfg, ()
+            return "velocity", cfg, (), False
         if draw(st.booleans()):
             cfg["sweep"] = {"parameter": "beta", "values": draw(_beta_grid)}
-        return "expand-check", cfg, ()
+        return "expand-check", cfg, (), False
     vac = {
         "grid_n": draw(st.integers(2, 6)),
         "cutoff": draw(_cutoff),
         "volume": draw(_magnitude),
     }
     cfg["vacuum"] = vac
-    flags = _spelled(draw, "--cutoff", repr(draw(_signed))) if draw(st.booleans()) else ()
+    rejected = kind != "vacuum" and draw(st.integers(0, 4)) == 4
+    # --cutoff would be rejected before the values of a cutoff sweep are read
+    override = not (rejected and kind == "cutoff") and draw(st.booleans())
+    flags = _spelled(draw, "--cutoff", repr(draw(_signed))) if override else ()
     if kind == "vacuum":
-        return "velocity", cfg, flags
-    if kind == "cutoff":
+        return "velocity", cfg, flags, False
+    c = vac["cutoff"]
+    if kind == "cutoff" and rejected:
+        values = draw(st.sampled_from(rejected_cutoffs(c)))
+    elif kind == "cutoff":
         # ascending cutoffs whose scaled grids stay small
         factors = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)), min_size=1, unique=True))
-        values = [vac["cutoff"] * f for f in sorted(factors)]
+        values = [c * f for f in sorted(factors)]
     else:
         values = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+        if rejected:
+            bad = draw(st.sampled_from(REJECTED_GRID_NS))
+            values.insert(draw(st.integers(0, len(values))), bad)
     cfg["sweep"] = {"parameter": kind, "values": values}
-    return "vacuum-sweep", cfg, flags
+    return "vacuum-sweep", cfg, flags, rejected
 
 
 # n V underflows to 0 at these; both once ended in a ZeroDivisionError
@@ -1521,29 +1538,29 @@ _UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
 ))
 @example(
     run=("velocity", {"material": _UNDERFLOWING_INDEX,
-                      "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}}, ()),
+                      "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}}, (), False),
     fmt=("--format", "csv"),
 )
 @example(
     run=("vacuum-sweep", {"material": _UNDERFLOWING_N_VOLUME,
                           "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 5.8e-199},
-                          "sweep": {"parameter": "grid_n", "values": [2]}}, ()),
+                          "sweep": {"parameter": "grid_n", "values": [2]}}, (), False),
     fmt=("--format", "csv"),
 )
 @example(
-    run=("transform", {"material": _HUGE_CONSTANTS}, ("--beta=0.1",)),
+    run=("transform", {"material": _HUGE_CONSTANTS}, ("--beta=0.1",), False),
     fmt=("--format", "csv"),
 )
 @example(
-    run=("expand-check", {"material": _UNDERFLOWING_INDEX, "fields": CROSSED_FIELDS}, ()),
+    run=("expand-check", {"material": _UNDERFLOWING_INDEX, "fields": CROSSED_FIELDS}, (), False),
     fmt=("--format", "csv"),
 )
 @example(
-    run=("transform", {"material": GOLDEN_MATERIAL}, ("--beta", "-1e-05")),
+    run=("transform", {"material": GOLDEN_MATERIAL}, ("--beta", "-1e-05"), False),
     fmt=("--format=json",),
 )
 def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, fmt):
-    command, cfg, flags = run
+    command, cfg, flags, rejected = run
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
@@ -1555,6 +1572,8 @@ def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, f
             assert exc.code == 2 and any(token.endswith("=--") for token in flags)
             return
     assert rc in (0, 2, 3, 4, 5)
+    if rejected:
+        assert rc == 2, err.getvalue()
     if isinstance(cfg, str):
         assert rc == 2 and "duplicate key" in err.getvalue()
     elif "sweep" in cfg:

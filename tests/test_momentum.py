@@ -249,7 +249,7 @@ def test_bilinear_sums_give_the_velocity_of_their_bilinears(kind):
 
 def _hand_bilinears(m, f):
     """The four bilinears written out component by component."""
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = m.chi
     (ex, ey, ez), (bx, by, bz) = f
     # t = chi^T E and s = chi B
     tx = xx * ex + yx * ey + zx * ez

@@ -51,7 +51,7 @@ M_SIGNED_ZEROS = Material(
 
 def assert_sums_match(got, want, m, a2):
     """Channel by channel within 1e-12 of the channel's natural scale."""
-    chi_scale = a2 * max(abs(x) for row in m.chi.rows() for x in row)
+    chi_scale = a2 * max(map(abs, m.chi))
     for name, scale in (
         ("e_cross_b", a2),
         ("e_cross_chiT_e", chi_scale),
@@ -428,7 +428,7 @@ def test_signed_sums_follow_the_two_thirds_law(chi, eps, mu, grid_n, volume):
     ms = build_mode_set(m, grid_n, CUTOFF, volume)
     s = 2.0 * math.pi / volume * vacuum_bilinears(ms, m).zero_point_energy
     fast = vacuum_bilinears(ms, m, magnitudes=False)
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = m.chi.rows()
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = m.chi
     ax_chi = (yz - zy, zx - xz, xy - yx)
     # rounding in the terms scales with chi as a whole, not with ax(chi)
     tol = 1e-12 * s * max(map(abs, chi))
@@ -461,6 +461,22 @@ def test_cutoff_sweep_rejects_a_cutoff_not_finite_and_positive(cutoffs, monkeypa
     monkeypatch.setattr(vacuum, "build_mode_set", lambda *a: built.append(a))
     with pytest.raises(ValueError, match="^cutoffs must be finite and > 0, got "):
         cutoff_sweep(M_COUPLED, 4, cutoffs, 1.0)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "grid_n", [0, 1, -3, MAX_GRID_N + 1, 2.5, 4.0, True, math.nan], ids=repr
+)
+def test_grid_n_not_an_int_in_range_is_rejected_before_any_grid(grid_n, monkeypatch):
+    # cutoff_sweep once clamped grid_n 0, 1, -3, 2.5 and True to a grid
+    # of 2, and build_mode_set raised TypeError from range() at 4.0
+    message = rf"^grid_n must be an integer in \[2, MAX_GRID_N={MAX_GRID_N}\], got "
+    with pytest.raises(ValueError, match=message):
+        build_mode_set(M_EMPTY, grid_n, CUTOFF, 1.0)
+    built = []
+    monkeypatch.setattr(vacuum, "build_mode_set", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match=message):
+        cutoff_sweep(M_COUPLED, grid_n, [1e5, 2e5, 3e5], 1.0)
     assert built == []
 
 
