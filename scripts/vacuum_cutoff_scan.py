@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Ultraviolet growth of the zero-point bilinear sums.
 
-Runs a cutoff sweep (grid scaled with the cutoff, so the k-space cell
-size stays fixed) and reports the per-wavevector magnitude channels and
-their fitted log-log slopes. All four channels integrate |k|^3 d^3k
+Runs a cutoff sweep (grid scaled with the cutoff and rounded to whole
+cells, so the k-space cell size stays within a relative 1/(2 cells a
+side) of the lowest cutoff's) and reports the per-wavevector magnitude
+channels and their fitted log-log slopes. All four channels integrate |k|^3 d^3k
 style measures and should grow close to cutoff^4.
 """
 

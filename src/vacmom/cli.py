@@ -6,7 +6,9 @@ diagnostics to stderr, and uses the exit code contract
 
     0  success
     1  stdout was closed before all output was written
-    2  configuration error (decoding, parse, schema, or value rejection,
+    2  usage error (an argv of another form, an abbreviated option and
+       "--" included: the usage line and the reason go to stderr) or
+       configuration error (decoding, parse, schema, or value rejection,
        including a key repeated within one object, values whose results
        leave the float range, a sweep of a parameter the subcommand does
        not read and an override of the parameter swept)
@@ -17,12 +19,12 @@ diagnostics to stderr, and uses the exit code contract
 CSV floats are written with 17 significant digits and JSON floats with
 the shortest exact representation, so both round-trip bit for bit. An
 undefined value (None or nan) is nan in CSV and null in JSON. An
-override option is registered only on the subcommands that read it.
+override option is read only by the subcommands that use it. -h or
+--help anywhere in argv prints help and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -30,6 +32,7 @@ import os
 import re
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from types import SimpleNamespace
 
 from .algebra import BoostSpec, FieldState, Material
 from .config import RunConfig, _positive, config_to_dict, load_config
@@ -57,9 +60,7 @@ SLOPE_WINDOW = (1.9, 2.1)
 
 _LONGITUDINAL_TOL = 1e-9
 
-# the argparse of Python 3.11 reads a token as a negative number, and so
-# as an option's value, only in the forms -1, -1.5 and -.5; this matcher
-# takes exponent forms such as -1e-05 too
+# a separate option value that starts with "-": -1, -1.5, -.5, -1e-05
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -377,54 +378,7 @@ _SUBCOMMANDS = {
 
 _FORMATS = ("csv", "json")
 
-
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        # argparse's print_help drops the OSError of a closed stdout
-        (sys.stdout if file is None else file).write(self.format_help())
-
-    def _get_values(self, action, arg_strings):
-        # argparse before 3.13 stores [] for an option's value "--", as
-        # in --beta=--; 3.13 converts and checks it as any other value
-        if action.option_strings and arg_strings == ["--"]:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and only when needed.
-
-    Parsing gives a fresh Namespace on every call and writes usage and
-    errors to sys.stdout and sys.stderr as they are at that call, so
-    reusing the parser leaves every call's output unchanged.
-    """
-    parser = _Parser(
-        prog="vacmom",
-        description="Momentum of a moving magnetoelectric medium:"
-        " constant transforms, expansion checks, velocity terms,"
-        " and zero-point mode sums.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, overrides, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("config", help="path to JSON config file")
-        p.add_argument(
-            "--format",
-            choices=_FORMATS,
-            default="csv",
-            help="output format (default csv)",
-        )
-        for option in overrides:
-            p.add_argument(f"--{option}", type=float, help=_OVERRIDES[option][0])
-    return parser
-
-
-# subcommand -> the namespace parse_args gives it before any option, in
-# parse_args' attribute order
+# subcommand -> the namespace it starts from, before any option
 _DEFAULTS = {
     name: {"command": name, "config": None, "format": "csv", **dict.fromkeys(overrides)}
     for name, (_, _, overrides, _) in _SUBCOMMANDS.items()
@@ -432,79 +386,115 @@ _DEFAULTS = {
 _DESTS = {f"--{dest}": dest for dest in ("format", *_OVERRIDES)}
 
 
-def _parse_own_form(argv: list) -> argparse.Namespace | None:
-    """The Namespace parse_args(argv) gives, if argv has the CLI's own form.
+class _Usage(Exception):
+    """An argv the CLI does not read. Its args are the reason and the
+    subcommand whose usage line goes with it, None for vacmom's own."""
 
-    That form is a subcommand, one config path that does not start with
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: vacmom [-h] {{{','.join(_SUBCOMMANDS)}}} ..."
+    overrides = "".join(f" [--{o} {o.upper()}]" for o in _SUBCOMMANDS[command][2])
+    return f"usage: vacmom {command} [-h] [--format {{{','.join(_FORMATS)}}}]{overrides} config"
+
+
+def _help(command: str | None) -> str:
+    """The usage line, then one line per argument and option."""
+    head = [_usage(command), ""]
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        head += [
+            "Momentum of a moving magnetoelectric medium: constant transforms, expansion",
+            "checks, velocity terms, and zero-point mode sums.",
+            "",
+        ]
+        arguments = [(name, entry[1]) for name, entry in _SUBCOMMANDS.items()]
+    else:
+        arguments = [("config", "path to JSON config file")]
+        options.append((f"--format {{{','.join(_FORMATS)}}}", "output format (default csv)"))
+        options += [(f"--{o} {o.upper()}", _OVERRIDES[o][0]) for o in _SUBCOMMANDS[command][2]]
+    width = max(len(name) for name, _ in arguments + options)
+    for title, rows in (("positional arguments", arguments), ("options", options)):
+        head += [f"{title}:", *(f"  {name:<{width}}  {text}" for name, text in rows), ""]
+    return "\n".join(head)
+
+
+def _parse_own_form(argv: list) -> SimpleNamespace:
+    """The command, config path, format and overrides argv gives.
+
+    The CLI reads a subcommand, one config path that does not start with
     "-", and any of --format and the subcommand's overrides, each as
     "--name value" or "--name=value", the last one winning. A separate
-    value may start with "-" only as a number the subparsers read as
-    one. --format takes csv or json; an override takes what float()
-    takes, as argparse converts it. Any other argv gives None.
+    value may start with "-" only as a number such as -1e-05. --format
+    takes csv or json; an override takes what float() takes. Any other
+    argv, an abbreviated option and "--" included, raises _Usage.
     """
-    defaults = _DEFAULTS.get(argv[0]) if argv else None
-    if defaults is None:
-        return None
-    values = defaults.copy()
+    if not argv:
+        raise _Usage("the following arguments are required: command", None)
+    try:
+        values = _DEFAULTS[argv[0]].copy()
+    except (KeyError, TypeError):
+        raise _Usage(
+            f"argument command: invalid choice: {argv[0]!r}"
+            f" (choose from {', '.join(map(repr, _SUBCOMMANDS))})",
+            None,
+        ) from None
+    command = argv[0]
     config = None
     tokens = iter(argv[1:])
     try:
         for token in tokens:
-            if not token.startswith("-"):
-                if config is not None:
-                    return None
+            if not token.startswith("-") and config is None:
                 config = token
                 continue
+            # a second config path, as an unknown option, is not in _DESTS
             option, eq, value = token.partition("=")
             dest = _DESTS.get(option)
             if dest not in values:
-                return None
+                raise _Usage(f"unrecognized argument: {token}", command)
             if not eq:
                 value = next(tokens, None)
                 if value is None or (
                     value.startswith("-") and not _NEGATIVE_NUMBER.match(value)
                 ):
-                    return None
+                    raise _Usage(f"argument {option}: expected one argument", command)
             if dest == "format":
                 if value not in _FORMATS:
-                    return None
+                    raise _Usage(
+                        f"argument --format: invalid choice: {value!r}"
+                        f" (choose from {', '.join(map(repr, _FORMATS))})",
+                        command,
+                    )
             else:
                 value = float(value)
             values[dest] = value
-    except (AttributeError, TypeError, ValueError):
-        # a token that is not a str, or a value float() rejects
-        return None
+    except (AttributeError, TypeError):
+        # a token that is not a str
+        token = next(t for t in argv if not isinstance(t, str))
+        raise _Usage(f"argument {token!r} is not a str", command) from None
+    except ValueError:
+        raise _Usage(f"argument {option}: invalid float value: {value!r}", command) from None
     if config is None:
-        return None
+        raise _Usage("the following arguments are required: config", command)
     values["config"] = config
-    # Namespace(**values) would set the attributes one by one, slowly
-    args = argparse.Namespace()
-    vars(args).update(values)
-    return args
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """parser.parse_args(argv), without the parser for the CLI's own form.
-
-    An argv of that form (see _parse_own_form) is read in one pass; any
-    other, help, usage errors, abbreviations and "--" included, goes to
-    the argparse parser, which is then built if it is not yet.
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_own_form(argv)
-    if args is None:
-        return _build_parser().parse_args(argv)
-    return args
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = _parse_args(argv)
-        except SystemExit:
-            # --help prints and exits in parse_args: flush to catch a closed stdout
-            sys.stdout.flush()
-            raise
+            args = _parse_own_form(argv)
+        except _Usage as exc:
+            reason, command = exc.args
+            # -h and --help are neither a config path nor a value, so
+            # every argv that holds one ends here
+            if "-h" in argv or "--help" in argv:
+                sys.stdout.write(_help(command))
+                sys.stdout.flush()
+                return 0
+            print(f"{_usage(command)}\nvacmom: error: {reason}", file=sys.stderr)
+            return 2
         handler, _, overrides, sweeps = _SUBCOMMANDS[args.command]
         cfg = load_config(args.config)
         for option in overrides:

@@ -351,11 +351,15 @@ def vacuum_bilinears(
 
 
 def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
-    """Bilinear sums across a range of cutoffs at fixed k-space resolution.
+    """Bilinear sums across a range of cutoffs at close to one k-space step.
 
-    The grid is scaled proportionally with the cutoff (constant cell
-    size in k space), so the sweep probes the ultraviolet growth rather
-    than discretization changes. Returns a list of (cutoff, BilinearSums).
+    Each cutoff c gets round(grid_n * c / cutoffs[0]) cells a side, so
+    its step 2 c / size differs from the first cutoff's by at most a
+    relative 1 / (2 size), and not at all where grid_n * c / cutoffs[0]
+    is an integer: [2e4, 6.3e4, 2e5] at grid_n 8 gives 8, 25 and 80
+    cells and steps of 5,000, 5,040 and 5,000 rad/cm. The sweep so
+    probes the ultraviolet growth rather than discretization changes.
+    Returns a list of (cutoff, BilinearSums).
     Raises ValueError before building any grid if grid_n is not an int
     in [2, MAX_GRID_N], if a cutoff is not finite and > 0, if the
     cutoffs do not ascend, or if the largest scaled grid_n exceeds

@@ -1,16 +1,20 @@
 """Stdlib-only checks of the CLI's fast paths against the code they copy.
 
-The CLI parses its own argv forms without argparse, lays out JSON with
-CPython's C encoder and joins CSV lines itself. Each of these copies
-behaviour of the standard library that a Python release could change,
-so this script checks them against the standard library of the
-interpreter that runs it:
+The CLI reads its argv without argparse, lays out JSON with CPython's C
+encoder and joins CSV lines itself. Each of these copies behaviour of
+the standard library that a Python release could change, so this
+script checks them against the standard library of the interpreter
+that runs it:
 
-- ``cli._parse_args`` against the CLI parser's own ``parse_args``, over
-  a seeded argv corpus: the namespace (nan equal to itself), the exit
-  code, and stdout and stderr at COLUMNS=80; and every namespace it
-  returns holds a format the CLI writes and overrides that are None or
-  floats;
+- ``cli.main`` and its argv reader ``cli._parse_own_form`` against
+  ``reference_parser()``, the argparse parser the CLI once used, over a
+  seeded argv corpus: an argv the reader accepts gives the reference's
+  namespace (nan equal to itself), with a format the CLI writes and
+  overrides that are None or floats; an argv the reference rejects
+  exits 2 with a usage line on stderr; an argv the reference reads and
+  the reader does not holds an abbreviated option, "--" or a config
+  path that starts with "-"; help is printed, with exit 0, if and only
+  if -h or --help is a token; and no argv raises;
 - ``cli._json`` against ``json.dumps(indent=2)``;
 - the CSV that ``cli._emit`` writes against ``csv.writer``;
 - the malformed-file table, run through ``cli.main``.
@@ -101,10 +105,19 @@ def _near_own_form(rng: random.Random) -> list[str]:
 
 
 # argvs every corpus starts with: "-", "--" and "--=" are prefixes of
-# every option, and expand-check reads only --format
+# every option, expand-check reads only --format, and a token that is
+# not a str is a usage error
 _EDGE_ARGVS = (
     [],
     ["-h"],
+    ["bogus", "-h"],
+    ["velocity", "config.json", "--format", "--help"],
+    ["velocity", "-1"],
+    ["velocity", "-"],
+    [None],
+    ["velocity", 7],
+    ["velocity", "config.json", "--cutoff", 3.0],
+    ["transform", "config.json", "--beta", 0.1, "-h"],
     ["vel", "config.json"],
     ["--format", "json", "velocity", "config.json"],
     ["velocity", "-h"],
@@ -147,16 +160,52 @@ def argv_corpus(seed: int, count: int) -> list[list[str]]:
     return corpus
 
 
-def parse_outcome(parse, argv):
-    """(namespace repr or None, exit code or None, stdout, stderr) of one parse."""
+class _ReferenceParser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        # argparse before 3.13 stores [] for an option's value "--", as
+        # in --beta=--; 3.13 converts and checks it as any other value
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI read argv with before it read argv
+    itself: the oracle of check_parse, as polarization_reference.py is
+    the oracle of the vacuum kernel."""
+    parser = _ReferenceParser(prog="vacmom")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, overrides, _) in cli._SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        # the matcher of some Pythons reads -1e-05 as an option, not a number
+        p._negative_number_matcher = cli._NEGATIVE_NUMBER
+        p.add_argument("config", help="path to JSON config file")
+        p.add_argument("--format", choices=cli._FORMATS, default="csv")
+        for option in overrides:
+            p.add_argument(f"--{option}", type=float, help=cli._OVERRIDES[option][0])
+    return parser
+
+
+def _outcome(call, argv):
+    """(result or None, exit code or the exception raised, stdout, stderr)
+    of one call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            # the repr counts nan equal to itself and tells -0.0 from 0.0
-            namespace, code = repr(sorted(vars(parse(argv)).items())), None
+            result, code = call(argv), None
         except SystemExit as exc:
-            namespace, code = None, exc.code
-    return namespace, code, out.getvalue(), err.getvalue()
+            result, code = None, exc.code
+        except Exception as exc:
+            result, code = None, repr(exc)
+    return result, code, out.getvalue(), err.getvalue()
+
+
+def _key(namespace) -> str:
+    """A namespace as text that counts nan equal to itself and tells -0.0
+    from 0.0."""
+    return repr(sorted(vars(namespace).items()))
 
 
 def _typed(args) -> bool:
@@ -167,21 +216,58 @@ def _typed(args) -> bool:
     )
 
 
+_LONG_OPTIONS = ("--help", "--format", *(f"--{option}" for option in cli._OVERRIDES))
+
+
+def _argparse_only(argv, namespace) -> bool:
+    """Whether an argv argparse reads holds what only argparse reads: an
+    abbreviated option or the "--" separator, each a proper prefix of a
+    long option, or a config path that starts with "-" ("-", "-1")."""
+    prefixes = {t.partition("=")[0] for t in argv if isinstance(t, str) and t.startswith("--")}
+    if any(o.startswith(p) and o != p for p in prefixes for o in _LONG_OPTIONS):
+        return True
+    return namespace is not None and namespace.config.startswith("-")
+
+
+def _usage_error(code, out: str, err: str) -> bool:
+    lines = err.splitlines()
+    return (code, out, len(lines)) == (2, "", 2) and (
+        lines[0].startswith("usage: vacmom") and lines[1].startswith("vacmom: error: ")
+    )
+
+
 def check_parse(seed: int, count: int) -> tuple[str, list[str]]:
-    parser = cli._build_parser()
-    failures, own_form = [], 0
+    reference = reference_parser()
+    failures, accepted = [], 0
     for argv in argv_corpus(seed, count):
-        own_form += cli._parse_own_form(argv) is not None
-        got = parse_outcome(cli._parse_args, argv)
-        want = parse_outcome(parser.parse_args, argv)
-        if got != want:
-            failures.append(f"{argv!r}: _parse_args gave {got!r}, parse_args {want!r}")
-        elif got[0] is not None and not _typed(cli._parse_args(argv)):
-            failures.append(f"{argv!r}: _parse_args gave {got[0]}")
-    # a corpus that never reaches the direct parse would check nothing
-    if own_form < count // 5:
-        failures.append(f"only {own_form} argvs reached the direct parse")
-    return f"{count} argvs, {own_form} in the CLI's own form", failures
+        want, want_code, _, _ = _outcome(reference.parse_args, argv)
+        got, _, _, _ = _outcome(cli._parse_own_form, argv)
+        accepted += got is not None
+        code, raised, out, err = _outcome(cli.main, argv)
+        helped = "-h" in argv or "--help" in argv
+        if raised is not None:
+            problem = f"cli.main raised {raised}"
+        elif helped != (code == 0 and out.startswith("usage: vacmom")):
+            problem = f"help {'not ' * helped}printed"
+        elif helped:
+            problem = None if err == "" else f"help with stderr {err!r}"
+        elif got is not None:
+            if want is None or _key(got) != _key(want):
+                problem = f"namespace {_key(got)}, reference {want and _key(want)}"
+            else:
+                problem = None if _typed(got) else f"namespace {_key(got)}"
+        elif not _usage_error(code, out, err):
+            problem = f"exit {code}, stdout {out!r}, stderr {err!r}"
+        elif (want is not None or want_code == 0) and not _argparse_only(argv, want):
+            problem = f"the reference reads it: {want and _key(want)}, exit {want_code}"
+        else:
+            problem = None
+        if problem:
+            failures.append(f"{argv!r}: {problem}")
+    # a corpus the reader never accepts would check no namespace
+    if accepted < count // 5:
+        failures.append(f"the reader accepted only {accepted} argvs")
+    return f"{count} argvs, {accepted} accepted", failures
 
 
 _SPECIAL_FLOATS = (
@@ -384,8 +470,6 @@ def main(argv=None) -> int:
         "--count", type=int, default=3000, help="argvs; a sixth as many values and tables"
     )
     args = p.parse_args(argv)
-    # argparse wraps usage to the terminal width
-    os.environ["COLUMNS"] = "80"
     print(f"python {sys.version.split()[0]}, seed {args.seed}")
     failed = False
     for name, check in CHECKS.items():
