@@ -48,7 +48,7 @@ from .momentum import medium_velocity, term_ratio_of, velocity_from_bilinears
 from .relativity import index_of, transform_constants
 from .vacuum import (
     MAGNITUDE_CHANNELS,
-    MAX_GRID_N,
+    _check_grid_n,
     build_mode_set,
     cutoff_sweep,
     scaling_slopes,
@@ -293,19 +293,18 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
             raise ConfigError(f"sweep.values: {exc}") from exc
         slopes = scaling_slopes(entries)
     else:
-        # a grid_n sweep: every value is checked before any grid is
-        # built; the range test comes first, so int() never meets inf
-        # or nan
-        for v in sweep.values:
-            if not (2 <= v <= MAX_GRID_N and v == int(v)):
-                raise ConfigError(
-                    "sweep.values: grid_n must be an integer in"
-                    f" [2, MAX_GRID_N={MAX_GRID_N}], got {v!r}"
-                )
-        entries = []
-        for v in sweep.values:
-            ms = build_mode_set(m, int(v), vac.cutoff, vac.volume)
-            entries.append((int(v), vacuum_bilinears(ms, m)))
+        # JSON's 4.0 is the grid 4; every value is checked before any
+        # grid is built
+        grids = [int(v) if v.is_integer() else v for v in sweep.values]
+        try:
+            for grid_n, v in zip(grids, sweep.values):
+                _check_grid_n(grid_n, v)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values: {exc}") from exc
+        entries = [
+            (grid_n, vacuum_bilinears(build_mode_set(m, grid_n, vac.cutoff, vac.volume), m))
+            for grid_n in grids
+        ]
         slopes = dict.fromkeys(MAGNITUDE_CHANNELS)
 
     rows = [

@@ -92,7 +92,7 @@ MAGNITUDE_CHANNELS = (
 )
 
 
-class ModeSet(namedtuple("ModeSet", "orbits cutoff volume grid_n")):
+class ModeSet(namedtuple("ModeSet", "orbits cutoff volume")):
     """The wavevectors (kx, ky, kz) in rad/cm of a grid, grouped in orbits.
 
     An entry (kx, ky, kz, count) of orbits stands for the first count of
@@ -134,11 +134,14 @@ class BilinearSums:
     zero_point_energy: float | None
 
 
-def _check_grid_n(grid_n) -> None:
+def _check_grid_n(grid_n, read=None) -> None:
+    """Raise ValueError unless grid_n is an int in [2, MAX_GRID_N]; the
+    message shows read, the value as the caller read it, if given."""
     # type(), since a bool is an int to isinstance
     if type(grid_n) is not int or not 2 <= grid_n <= MAX_GRID_N:
         raise ValueError(
-            f"grid_n must be an integer in [2, MAX_GRID_N={MAX_GRID_N}], got {grid_n!r}"
+            f"grid_n must be an integer in [2, MAX_GRID_N={MAX_GRID_N}],"
+            f" got {grid_n if read is None else read!r}"
         )
 
 
@@ -197,7 +200,7 @@ def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> Mo
         raise EmptyModeSet(
             f"no modes survive cutoff={cutoff!r} with grid_n={grid_n!r}"
         )
-    return ModeSet(orbits, cutoff, volume, grid_n)
+    return ModeSet(orbits, cutoff, volume)
 
 
 def vacuum_bilinears(

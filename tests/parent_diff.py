@@ -9,10 +9,13 @@ captured, at COLUMNS=80. The corpus:
 
 - the ops of all three benchmark workloads, from
   ``bench/workloads.Generator`` at its tiny sizes;
-- seeded random configs of every subcommand, in both output formats and
-  with overrides in both spellings, whose numbers include +-0.0,
-  subnormals, 1e+-300 and the largest floats, and whose vacuum sweeps
-  now and then hold a value that breaks a sweep rule;
+- seeded random runs of every subcommand from
+  ``portable_checks.random_run``, the generator the CLI fuzz test and
+  the portable checks draw from: both output formats, overrides in both
+  spellings, numbers that include +-0.0, subnormals, 1e+-300 and the
+  largest floats, sweeps whose values now and then break a sweep rule,
+  and a few faults each (help, usage errors, unread sweeps, ints past
+  the float range, repeated sections);
 - vacuum grids at the float-range edges, which random configs rarely
   build: subnormal cell centres with normal chi channels, the largest
   float as cutoff, and a cutoff sweep whose ratio times grid_n overflows;
@@ -42,6 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import portable_checks  # noqa: E402
+from portable_checks import CROSSED_FIELDS, GOLDEN_MATERIAL  # noqa: E402
 from workloads import WORKLOADS, Generator  # noqa: E402
 
 # the cycles of each workload taken, after its warm-up op
@@ -69,19 +73,6 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
     json.dump(results, fh)
 """
 
-_NUMBERS = (
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
-    1e300, -1e300, 1e308, 1.7976931348623157e308, 1e-05, -1e-05, 0.5, 1.0, 2.25,
-)
-_GOLDEN_MATERIAL = {
-    "epsilon": 2.25,
-    "mu": 1.0,
-    "chi": [0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0],
-    "rho0": 1.0,
-}
-_CROSSED_FIELDS = {"E": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]}
-
-
 class _Corpus:
     """Argvs and the config files they name, written under one directory."""
 
@@ -92,11 +83,14 @@ class _Corpus:
         self._files = 0
 
     def file(self, content) -> str:
-        """A new file holding content: bytes as they are, else as JSON."""
+        """A new file holding content: bytes as they are, a str as its
+        UTF-8, else as JSON."""
         self._files += 1
         path = os.path.join(self.directory, f"config-{self._files}.json")
+        if not isinstance(content, (bytes, str)):
+            content = json.dumps(content)
         with open(path, "wb") as fh:
-            fh.write(content if isinstance(content, bytes) else json.dumps(content).encode())
+            fh.write(content if isinstance(content, bytes) else content.encode())
         return path
 
     def add(self, part: str, argv: list[str]) -> None:
@@ -114,83 +108,9 @@ def _bench_ops(corpus: _Corpus, seed: int) -> None:
             corpus.add("bench ops", op.argv(corpus.file(op.config)))
 
 
-def _number(rng: random.Random, positive: bool = False) -> float:
-    if rng.random() < 0.4:
-        x = rng.choice(_NUMBERS)
-    else:
-        x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 12.0)
-    # now and then a value the schema must reject
-    return abs(x) if positive and rng.random() < 0.9 else x
-
-
-def _vector(rng: random.Random) -> list[float]:
-    return [_number(rng) for _ in range(3)]
-
-
-def _spelled(rng: random.Random, option: str, value: str) -> list[str]:
-    return [f"{option}={value}"] if rng.random() < 0.5 else [option, value]
-
-
-def _random_run(rng: random.Random) -> tuple[str, dict, list[str]]:
-    cfg = {
-        "material": {
-            "epsilon": _number(rng, positive=True),
-            "mu": _number(rng, positive=True),
-            "chi": [_number(rng) * 1e-3 for _ in range(9)],
-            "rho0": _number(rng, positive=True),
-        }
-    }
-    command = rng.choice(portable_checks.SUBCOMMANDS)
-    options = []
-    if command == "transform":
-        if rng.random() < 0.7:
-            cfg["boost"] = {"beta": rng.uniform(-0.99, 0.99)}
-        else:
-            betas = [rng.uniform(-0.99, 0.99) for _ in range(3)]
-            cfg["sweep"] = {"parameter": "beta", "values": betas}
-        if rng.random() < 0.3:
-            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 0.0)
-            options.append(_spelled(rng, "--beta", repr(beta)))
-    elif command == "expand-check" or (command == "velocity" and rng.random() < 0.5):
-        cfg["fields"] = {"E": _vector(rng), "B": _vector(rng)}
-        if command == "expand-check" and rng.random() < 0.3:
-            grid = sorted(10.0 ** rng.uniform(-6.0, -1.0) for _ in range(4))
-            cfg["sweep"] = {"parameter": "beta", "values": grid}
-    else:
-        cfg["vacuum"] = {
-            "grid_n": rng.randint(2, 6),
-            "cutoff": _number(rng, positive=True),
-            "volume": _number(rng, positive=True),
-        }
-        if command == "vacuum-sweep":
-            cfg["sweep"] = _sweep(rng, cfg["vacuum"]["cutoff"])
-        if rng.random() < 0.3:
-            options.append(_spelled(rng, "--cutoff", repr(_number(rng, positive=True))))
-    options.append(_spelled(rng, "--format", rng.choice(("csv", "json"))))
-    rng.shuffle(options)
-    return command, cfg, [token for option in options for token in option]
-
-
-def _sweep(rng: random.Random, cutoff: float) -> dict:
-    """A cutoff or grid_n sweep; in one draw of four, its values break a
-    sweep rule."""
-    bad = rng.random() < 0.25
-    if rng.random() < 0.5:
-        if bad:
-            values = rng.choice(portable_checks.rejected_cutoffs(abs(cutoff)))
-        else:
-            factors = sorted(rng.sample((1.0, 1.5, 2.0, 3.0), rng.randint(1, 3)))
-            values = [cutoff * f for f in factors]
-        return {"parameter": "cutoff", "values": values}
-    grids = [rng.randint(2, 6) for _ in range(2)]
-    if bad:
-        grids.insert(rng.randint(0, 2), rng.choice(portable_checks.REJECTED_GRID_NS))
-    return {"parameter": "grid_n", "values": grids}
-
-
 def _random_configs(corpus: _Corpus, rng: random.Random, count: int) -> None:
     for _ in range(count):
-        command, cfg, flags = _random_run(rng)
+        command, cfg, flags, _ = portable_checks.random_run(rng)
         corpus.add("random configs", [command, corpus.file(cfg), *flags])
 
 
@@ -211,13 +131,13 @@ def _vacuum_edges(corpus: _Corpus) -> None:
         sweep = {"parameter": "cutoff", "values": bad}
         runs.append(("vacuum-sweep", {"vacuum": vacuum, "sweep": sweep}))
     for command, cfg in runs:
-        path = corpus.file({"material": _GOLDEN_MATERIAL, **cfg})
+        path = corpus.file({"material": GOLDEN_MATERIAL, **cfg})
         for fmt in ("csv", "json"):
             corpus.add("vacuum edges", [command, path, "--format", fmt])
 
 
 def _file_faults(corpus: _Corpus) -> None:
-    valid = {"material": _GOLDEN_MATERIAL, "boost": {"beta": 0.1}, "fields": _CROSSED_FIELDS}
+    valid = {"material": GOLDEN_MATERIAL, "boost": {"beta": 0.1}, "fields": CROSSED_FIELDS}
     text = json.dumps(valid).encode()
     faults = {
         "missing": os.path.join(corpus.directory, "missing.json"),
@@ -243,16 +163,16 @@ def _argv_corpus(corpus: _Corpus, seed: int, count: int) -> None:
     real = {
         "config.json": corpus.file(
             {
-                "material": _GOLDEN_MATERIAL,
+                "material": GOLDEN_MATERIAL,
                 "boost": {"beta": 0.1},
-                "fields": _CROSSED_FIELDS,
+                "fields": CROSSED_FIELDS,
                 "vacuum": vacuum,
             }
         ),
         "other.json": corpus.file(
             {
-                "material": _GOLDEN_MATERIAL,
-                "fields": _CROSSED_FIELDS,
+                "material": GOLDEN_MATERIAL,
+                "fields": CROSSED_FIELDS,
                 "vacuum": vacuum,
                 "sweep": {"parameter": "cutoff", "values": [1e5, 2e5]},
             }

@@ -1,4 +1,4 @@
-"""Stdlib-only checks of the CLI's fast paths against the code they copy.
+"""Stdlib-only checks of the CLI against the standard library and an oracle.
 
 The CLI reads its argv without argparse, lays out JSON with CPython's C
 encoder and joins CSV lines itself. Each of these copies behaviour of
@@ -17,7 +17,13 @@ that runs it:
   if -h or --help is a token; and no argv raises;
 - ``cli._json`` against ``json.dumps(indent=2)``;
 - the CSV that ``cli._emit`` writes against ``csv.writer``;
-- the malformed-file table, run through ``cli.main``.
+- the malformed-file table, run through ``cli.main``;
+- random CLI runs against ``check_run``, the oracle of a whole run:
+  ``FIXED_RUNS``, then seeded draws of ``random_run``, the one generator
+  of random configs, which the CLI fuzz test (through hypothesis) and
+  ``tests/parent_diff.py`` also call. A run gives help, a usage error, a
+  documented exit code with a message or finite output, and never a
+  traceback.
 
 It needs nothing beyond the standard library, so it runs on any Python
 >= 3.10, with or without pytest, from the repository root:
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -291,12 +298,18 @@ def _float(rng: random.Random) -> float:
     return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
 
 
+def _int(rng: random.Random) -> int:
+    """An int of up to 8, 64 or 1,100 bits, so past the float range too."""
+    bound = 2 ** rng.choice((8, 64, 1100))
+    return rng.randint(-bound, bound)
+
+
 def _scalar(rng: random.Random):
     kind = rng.randrange(4)
     if kind == 0:
         return rng.choice((None, True, False))
     if kind == 1:
-        return rng.randint(-(10**20), 10**20)
+        return _int(rng)
     if kind == 2:
         return _float(rng)
     return _string(rng)
@@ -313,23 +326,39 @@ def _json_value(rng: random.Random, depth: int):
     return {_string(rng): child for child in children}
 
 
+# checked before the random values: escapes, empty and nested containers
+_JSON_EXAMPLE = {"a\u00e9\n\x00": [[], {}, [[{"b": -0.0}]]], "": [math.nan, 5e-324, -1e308]}
+
+
 def check_json(seed: int, count: int) -> tuple[str, list[str]]:
     rng = random.Random(f"json/{seed}")
     failures = []
-    for i in range(count):
-        value = _json_value(rng, 1 + i % 6)
+    values = [_JSON_EXAMPLE, *(_json_value(rng, 1 + i % 6) for i in range(count - 1))]
+    for value in values:
         if cli._json(value) != json.dumps(value, indent=2):
             failures.append(f"{value!r}")
     return f"{count} values", failures
 
 
-_COLUMNS = ("beta", "v_x", "mode_count", "slope_abs_e_cross_b", "sweep_parameter")
+# the CSV header of each subcommand, as test_acceptance pins it
+PINNED_CSV_HEADER = {
+    "transform": "beta,epsilon_prime,mu_prime,index_prime,impedance_ratio,"
+    "impedance_delta,index_delta",
+    "expand-check": "beta,residual,slope,derivative_delta,derivative_rel,identically_zero",
+    "velocity": "v_x,v_y,v_z,transverse_residual,am_x,am_y,am_z,chi_E_x,chi_E_y,"
+    "chi_E_z,chi_B_x,chi_B_y,chi_B_z,mu_term_z,term_ratio",
+    "vacuum-sweep": "sweep_parameter,sweep_value,mode_count,zero_point_energy,"
+    "e_cross_b_z,e_cross_chiT_e_z,b_cross_chi_b_z,b_dot_chiT_e,abs_e_cross_b,"
+    "abs_e_cross_chiT_e,abs_b_cross_chi_b,abs_b_dot_chiT_e,slope_abs_e_cross_b,"
+    "slope_abs_e_cross_chiT_e,slope_abs_b_cross_chi_b,slope_abs_b_dot_chiT_e",
+}
+_COLUMNS = sorted({c for header in PINNED_CSV_HEADER.values() for c in header.split(",")})
 
 
 def _csv_value(rng: random.Random):
     kind = rng.randrange(5)
     if kind == 0:
-        return rng.randint(-(10**6), 10**6)
+        return _int(rng)
     if kind == 1:
         return rng.choice((None, True, False))
     if kind == 2:
@@ -374,17 +403,21 @@ def check_csv(seed: int, count: int) -> tuple[str, list[str]]:
     return f"{count} tables", failures
 
 
+GOLDEN_MATERIAL = {
+    "epsilon": 2.25,
+    "mu": 1.0,
+    "chi": [0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0],
+    "rho0": 1.0,
+}
+CROSSED_FIELDS = {"E": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]}
+
+
 def _golden_config_text(*edits) -> str:
     """A transform config as JSON text; each (old, new) edit replaces the
     first occurrence of old."""
     text = json.dumps(
         {
-            "material": {
-                "epsilon": 2.25,
-                "mu": 1.0,
-                "chi": [0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0],
-                "rho0": 1.0,
-            },
+            "material": GOLDEN_MATERIAL,
             "boost": {"beta": 0.1},
             "sweep": {"parameter": "beta", "values": [0.1, 0.2]},
         }
@@ -444,15 +477,293 @@ def check_malformed_files(seed: int, count: int) -> tuple[str, list[str]]:
             path = os.path.join(tmp, f"{case}.json")
             with open(path, "wb") as fh:
                 fh.write(content)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["transform", path])
-            err = err.getvalue()
-            if (code, out.getvalue()) != (2, "") or not (
+            code, raised, out, err = _outcome(cli.main, ["transform", path])
+            if (code, out) != (2, "") or not (
                 err.startswith(f"config error: {path}") and message in err
             ):
-                failures.append(f"{case}: exit {code}, stdout {out.getvalue()!r}, stderr {err!r}")
+                failures.append(f"{case}: exit {code} ({raised}), stdout {out!r}, stderr {err!r}")
     return f"{len(MALFORMED_FILES)} files", failures
+
+
+# each subcommand with the sweep parameters it does not read
+UNREAD_SWEEPS = {
+    "transform": ("cutoff", "grid_n"),
+    "expand-check": ("cutoff", "grid_n"),
+    "velocity": ("beta", "cutoff", "grid_n"),
+    "vacuum-sweep": ("beta",),
+}
+
+_NUMBERS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1e308, 1.7976931348623157e308, 1e-05, -1e-05, 0.5, 1.0, 2.25,
+)
+
+
+def _number(rng: random.Random, wild: bool, positive: bool = False) -> float:
+    """A power of ten within 1e+-12 of either sign, made positive for a
+    key the schema requires > 0. In a wild run a quarter are one of
+    _NUMBERS and a quarter within 1e+-300, and one in ten of those for a
+    key required > 0 keeps its sign."""
+    kind = rng.randrange(4) if wild else 2
+    if kind == 0:
+        x = rng.choice(_NUMBERS)
+    else:
+        span = 300.0 if kind == 1 else 12.0
+        x = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-span, span)
+    return abs(x) if positive and (not wild or rng.randrange(10) < 9) else x
+
+
+def _beta(rng: random.Random) -> float:
+    """0, a beta in [-0.99, 0.99], or +-10^-x for x in [0, 12] or [0, 300]."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return rng.uniform(-0.99, 0.99)
+    return rng.choice((1.0, -1.0)) * 10.0 ** -rng.uniform(0.0, rng.choice((12.0, 300.0)))
+
+
+def _beta_grid(rng: random.Random) -> list[float]:
+    """3 or 4 ascending betas in (1e-7, 0.1] or (1e-301, 0.1]."""
+    exponents = sorted(rng.sample(range(rng.choice((-6, -300)), 0), rng.randint(3, 4)))
+    return [10.0 ** (e - rng.random()) for e in exponents]
+
+
+def _vacuum_sweep(rng: random.Random, cutoff: float) -> tuple[dict, bool]:
+    """A cutoff or grid_n sweep, and whether one of its values breaks a
+    sweep rule, as in about one draw of four."""
+    bad = rng.randrange(4) == 3
+    if rng.randrange(2) == 0:
+        if bad:
+            values = rng.choice(rejected_cutoffs(abs(cutoff)))
+        else:
+            # ascending cutoffs whose scaled grids stay small
+            factors = sorted(rng.sample((1.0, 1.5, 2.0, 3.0), rng.randint(1, 4)))
+            values = [cutoff * f for f in factors]
+        return {"parameter": "cutoff", "values": values}, bad
+    values = [rng.randint(2, 6) for _ in range(rng.randint(1, 3))]
+    if bad:
+        values.insert(rng.randint(0, len(values)), rng.choice(REJECTED_GRID_NS))
+    return {"parameter": "grid_n", "values": values}, bad
+
+
+def _spelled(rng: random.Random, option: str, value: str) -> list[str]:
+    """The option and its value as one token or as two."""
+    return [f"{option}={value}"] if rng.randrange(2) else [option, value]
+
+
+def random_run(rng: random.Random) -> tuple[str, dict | str, list[str], bool]:
+    """One random CLI run: (command, config, flags, rejected).
+
+    The config is a dict, or JSON text where it repeats a section, which
+    json.dumps cannot write. The flags hold --format and the overrides
+    the command reads, each spelled as one token or as two, in random
+    order. rejected says that the config must be rejected with exit 2.
+
+    Every subcommand is drawn: transform with a boost, a beta sweep or
+    both, expand-check with the default or a drawn beta grid, velocity
+    classical or vacuum, and vacuum-sweep over cutoff or grid_n, in
+    about one of four with a value from rejected_cutoffs or
+    REJECTED_GRID_NS. Numbers come from _NUMBERS and from powers of ten
+    out to 1e+-300, and vacuum cutoffs up to the largest float. Options
+    --beta and --cutoff (written by repr, so negative exponents come up)
+    may override the swept parameter. On top of that, each in about one
+    draw of ten: an option value "--" (--beta=--), -h, --help or the
+    abbreviation --form, an int past the float range, or a repeated
+    section; and in one of five the sweep is replaced by one of a
+    parameter the command does not read.
+    """
+    # a wild run explores the float range; in a tame one, a config error
+    # comes from the drawn fault alone
+    wild = rng.randrange(2) == 1
+    number = functools.partial(_number, rng, wild)
+    cfg = {
+        "material": {
+            "epsilon": number(positive=True),
+            "mu": number(positive=True),
+            "chi": [number() for _ in range(9)],
+            "rho0": number(positive=True),
+        }
+    }
+    command = rng.choice(SUBCOMMANDS)
+    options, rejected = [], False
+    if command == "transform":
+        sections = rng.choice((("boost",), ("sweep",), ("boost", "sweep")))
+        if "boost" in sections:
+            cfg["boost"] = {"beta": _beta(rng)}
+        if "sweep" in sections:
+            betas = [_beta(rng) for _ in range(rng.randint(1, 3))]
+            cfg["sweep"] = {"parameter": "beta", "values": betas}
+        # the sweep would win and boost.beta be dropped
+        rejected = len(sections) == 2
+        if rng.randrange(3) == 2:
+            options.append(_spelled(rng, "--beta", repr(_beta(rng))))
+            rejected = rejected or "sweep" in sections
+    elif command == "expand-check" or (command == "velocity" and rng.randrange(2)):
+        cfg["fields"] = {"E": [number() for _ in range(3)], "B": [number() for _ in range(3)]}
+        if command == "expand-check" and rng.randrange(2):
+            cfg["sweep"] = {"parameter": "beta", "values": _beta_grid(rng)}
+    else:
+        if wild and rng.randrange(5) == 4:
+            cutoff = rng.uniform(1e300, sys.float_info.max)
+        else:
+            cutoff = number(positive=True)
+        cfg["vacuum"] = {
+            "grid_n": rng.randint(2, 6),
+            "cutoff": cutoff,
+            "volume": number(positive=True),
+        }
+        if command == "vacuum-sweep":
+            cfg["sweep"], rejected = _vacuum_sweep(rng, cutoff)
+        cutoff_swept = cfg.get("sweep", {}).get("parameter") == "cutoff"
+        # --cutoff would be rejected before a bad value of the sweep is read
+        if not (rejected and cutoff_swept) and rng.randrange(5) >= 3:
+            options.append(_spelled(rng, "--cutoff", repr(number(positive=True))))
+            rejected = rejected or cutoff_swept
+    options.append(_spelled(rng, "--format", rng.choice(cli._FORMATS)))
+    rng.shuffle(options)
+    flags = [token for option in options for token in option]
+    if rng.randrange(10) == 9:
+        flags.append(rng.choice(("--beta=--", "--cutoff=--", "--format=--")))
+    if rng.randrange(10) == 9:
+        flags += rng.choice((["-h"], ["--help"], ["--form", "json"]))
+    if rng.randrange(5) == 4:
+        values = [number() for _ in range(rng.randint(1, 3))]
+        cfg["sweep"] = {"parameter": rng.choice(UNREAD_SWEEPS[command]), "values": values}
+        rejected = True
+    fault = rng.randrange(10)
+    if fault == 8:
+        places = [
+            (section, key)
+            for section in ("material", "boost", "vacuum", "sweep")
+            for key in cfg.get(section, ())
+            if key not in ("chi", "grid_n", "parameter")
+        ]
+        section, key = rng.choice(places)
+        huge = rng.choice((10**400, -(10**400), 2**1024))
+        if key == "values":
+            cfg[section][key][-1] = huge
+        else:
+            cfg[section][key] = huge
+        rejected = True
+    elif fault == 9:
+        section = rng.choice(sorted(cfg))
+        cfg = json.dumps(cfg)[:-1] + f", {json.dumps(section)}: {json.dumps(cfg[section])}}}"
+        rejected = True
+    return command, cfg, flags, rejected
+
+
+# n V underflows to 0 at these; both once ended in a ZeroDivisionError
+_UNDERFLOWING_INDEX = {"epsilon": 4.4e-289, "mu": 4.1e-68, "chi": [0.0] * 9, "rho0": 1.0}
+_UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
+
+# runs that once failed or that pin a rule, checked before the random ones
+FIXED_RUNS = (
+    (
+        "velocity",
+        {"material": _UNDERFLOWING_INDEX, "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}},
+        ["--format", "csv"],
+        False,
+    ),
+    (
+        "vacuum-sweep",
+        {
+            "material": _UNDERFLOWING_N_VOLUME,
+            "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 5.8e-199},
+            "sweep": {"parameter": "grid_n", "values": [2]},
+        },
+        ["--format", "csv"],
+        False,
+    ),
+    (
+        "transform",
+        {"material": dict(GOLDEN_MATERIAL, epsilon=1e308, mu=1e308)},
+        ["--format", "csv", "--beta=0.1"],
+        False,
+    ),
+    (
+        "expand-check",
+        {"material": _UNDERFLOWING_INDEX, "fields": CROSSED_FIELDS},
+        ["--format", "csv"],
+        False,
+    ),
+    ("transform", {"material": GOLDEN_MATERIAL}, ["--format=json", "--beta", "-1e-05"], False),
+    # the CLI reads JSON's 4.0 as the grid 4, and must not read 4.5 as 4
+    (
+        "vacuum-sweep",
+        {
+            "material": GOLDEN_MATERIAL,
+            "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+            "sweep": {"parameter": "grid_n", "values": [4.0, 4.5]},
+        },
+        ["--format", "csv"],
+        True,
+    ),
+)
+
+
+def check_run(run, path: str) -> tuple[object, str | None]:
+    """The exit code of one run of random_run's form, its config written
+    to path, and what is wrong with its outcome, or None.
+
+    -h or --help prints help with exit 0; --form or an option value "--"
+    is a usage error. Any other run exits 0, 2, 3, 4 or 5, and 2 if it
+    is rejected, with "duplicate key" on stderr for a repeated section;
+    a nonzero exit writes a message to stderr. Every number of an exit
+    0 is finite but an unfitted slope, a magnitude slope and term_ratio.
+    """
+    command, cfg, flags, rejected = run
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    code, raised, out, err = _outcome(cli.main, [command, path, *flags])
+    if raised is not None:
+        return code, f"cli.main raised {raised}"
+    if "-h" in flags or "--help" in flags:
+        helped = (code, err) == (0, "") and out.startswith("usage: vacmom")
+        return code, None if helped else f"no help: exit {code}, stderr {err!r}"
+    # both are read as argv, before the config
+    if "--form" in flags or any(token.endswith("=--") for token in flags):
+        usage = _usage_error(code, out, err)
+        return code, None if usage else f"no usage error: exit {code}, stderr {err!r}"
+    if code not in (0, 2, 3, 4, 5) or (rejected and code != 2):
+        return code, f"exit {code}, stderr {err!r}"
+    if isinstance(cfg, str) and "duplicate key" not in err:
+        return code, f"a repeated section gave stderr {err!r}"
+    if code != 0:
+        return code, None if err else f"exit {code} with an empty stderr"
+    if out.startswith("{"):
+        rows = json.loads(out)["result"]["rows"]
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+    for row in rows:
+        for column, value in row.items():
+            try:
+                x = float(value)
+            except (TypeError, ValueError):  # null, or a parameter name
+                continue
+            # expand-check leaves the slope out when every residual is 0
+            unfitted = column == "slope" and row["identically_zero"] in (True, "true")
+            if not (math.isfinite(x) or unfitted or column == "term_ratio"):
+                if not column.startswith("slope_"):
+                    return code, f"{column} = {value!r}"
+    return code, None
+
+
+def check_runs(seed: int, count: int) -> tuple[str, list[str]]:
+    rng = random.Random(f"runs/{seed}")
+    runs = [*FIXED_RUNS, *(random_run(rng) for _ in range(count))]
+    failures, passed = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        for run in runs:
+            code, problem = check_run(run, path)
+            passed += code == 0
+            if problem:
+                failures.append(f"{run!r}: {problem}")
+    # runs that never get past the schema would check no output
+    if passed < count // 10:
+        failures.append(f"only {passed} runs exit 0")
+    return f"{len(runs)} runs, {passed} exit 0", failures
 
 
 CHECKS = {
@@ -460,6 +771,7 @@ CHECKS = {
     "json": check_json,
     "csv": check_csv,
     "malformed files": check_malformed_files,
+    "runs": check_runs,
 }
 
 
@@ -467,7 +779,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--count", type=int, default=3000, help="argvs; a sixth as many values and tables"
+        "--count",
+        type=int,
+        default=3000,
+        help="argvs; a sixth as many values, tables and random runs",
     )
     args = p.parse_args(argv)
     print(f"python {sys.version.split()[0]}, seed {args.seed}")

@@ -16,6 +16,7 @@ import sys
 
 import vacmom.cli as cli
 from conftest import draw_config, draw_fields, make_rng, norm, src_env
+from portable_checks import PINNED_CSV_HEADER
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
     BoostSpec,
@@ -269,17 +270,6 @@ PINNED_STDOUT_SHA256 = {
     ("velocity", "json"): "fb344e1709991ebc35475166698e2da15b1e3d3c884e21f0f1f0809250d1c196",
     ("vacuum-sweep", "csv"): "1ba9b952f6891a73d6396912890dc20ca216f8e6354919aa49db0c70732a43a8",
     ("vacuum-sweep", "json"): "45d7e1123b98b6e8b4d5dece32cbcb8cd2307b87b1d26106144a7fd54d944200",
-}
-PINNED_CSV_HEADER = {
-    "transform": "beta,epsilon_prime,mu_prime,index_prime,impedance_ratio,"
-    "impedance_delta,index_delta",
-    "expand-check": "beta,residual,slope,derivative_delta,derivative_rel,identically_zero",
-    "velocity": "v_x,v_y,v_z,transverse_residual,am_x,am_y,am_z,chi_E_x,chi_E_y,"
-    "chi_E_z,chi_B_x,chi_B_y,chi_B_z,mu_term_z,term_ratio",
-    "vacuum-sweep": "sweep_parameter,sweep_value,mode_count,zero_point_energy,"
-    "e_cross_b_z,e_cross_chiT_e_z,b_cross_chi_b_z,b_dot_chiT_e,abs_e_cross_b,"
-    "abs_e_cross_chiT_e,abs_b_cross_chi_b,abs_b_dot_chiT_e,slope_abs_e_cross_b,"
-    "slope_abs_e_cross_chiT_e,slope_abs_b_cross_chi_b,slope_abs_b_dot_chiT_e",
 }
 
 

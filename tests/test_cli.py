@@ -1,6 +1,5 @@
 """Command line behavior: schema rejection, outputs, exit codes."""
 
-import argparse
 import contextlib
 import copy
 import csv
@@ -27,20 +26,13 @@ from vacmom.config import config_to_dict, load_config
 
 from conftest import src_env
 from portable_checks import (
-    MALFORMED_FILES,
-    REJECTED_GRID_NS,
-    expected_csv,
-    rejected_cutoffs,
+    CROSSED_FIELDS,
+    FIXED_RUNS,
+    GOLDEN_MATERIAL,
+    UNREAD_SWEEPS,
+    check_run,
+    random_run,
 )
-from test_acceptance import PINNED_CSV_HEADER
-
-GOLDEN_MATERIAL = {
-    "epsilon": 2.25,
-    "mu": 1.0,
-    "chi": [0.0, 1e-4, 0.0, -1e-4, 0.0, 0.0, 0.0, 0.0, 0.0],
-    "rho0": 1.0,
-}
-CROSSED_FIELDS = {"E": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]}
 
 # a draw whose truncation residual picks up an unusually large cubic
 # contribution; the fitted log-log slope lands near 2.25
@@ -120,17 +112,6 @@ def test_nonpositive_epsilon_rejected(tmp_path, capsys):
 def test_missing_file_is_config_error(capsys):
     rc, out, err = run_cli(capsys, ["transform", "/nonexistent/nowhere.json"])
     assert rc == 2
-
-
-@pytest.mark.parametrize("case", list(MALFORMED_FILES))
-def test_malformed_file_is_config_error(tmp_path, capsys, case):
-    content, message = MALFORMED_FILES[case]
-    path = tmp_path / "config.json"
-    path.write_bytes(content)
-    rc, out, err = run_cli(capsys, ["transform", str(path)])
-    assert (rc, out) == (2, "")
-    assert err.startswith(f"config error: {path}")
-    assert message in err
 
 
 _NUMBER_LISTS = {
@@ -806,18 +787,9 @@ def test_vacuum_sweep_rejects_fractional_grid(tmp_path, capsys):
     assert "grid_n" in err
 
 
-# each command with a sweep of a parameter it does not read
-_UNREAD_SWEEPS = {
-    "transform": ("cutoff", "grid_n"),
-    "expand-check": ("cutoff", "grid_n"),
-    "velocity": ("beta", "cutoff", "grid_n"),
-    "vacuum-sweep": ("beta",),
-}
-
-
 @pytest.mark.parametrize(
     "command, parameter",
-    [(c, p) for c, params in _UNREAD_SWEEPS.items() for p in params],
+    [(c, p) for c, params in UNREAD_SWEEPS.items() for p in params],
     ids=lambda v: v,
 )
 def test_unread_sweep_is_config_error(tmp_path, capsys, command, parameter):
@@ -893,55 +865,6 @@ def test_json_and_csv_agree_bitwise(tmp_path, capsys):
     for col, value in row_j.items():
         if isinstance(value, float):
             assert float(row_c[col]) == value, col
-
-
-_json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1e-308]),
-    st.text(),
-)
-
-
-def _json_containers(depth):
-    """Lists and dicts nested up to `depth` deep, empty ones included."""
-    children = _json_scalars if depth == 1 else _json_scalars | _json_containers(depth - 1)
-    return st.lists(children, max_size=3) | st.dictionaries(st.text(), children, max_size=3)
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=st.one_of([_json_containers(depth) for depth in range(1, 7)]))
-@example(value={"a\u00e9\n\x00": [[], {}, [[{"b": -0.0}]]], "": [math.nan, 5e-324, -1e308]})
-def test_json_is_laid_out_as_json_dumps_indent_2(value):
-    assert cli._json(value) == json.dumps(value, indent=2)
-
-
-_COLUMNS = sorted({c for header in PINNED_CSV_HEADER.values() for c in header.split(",")})
-_csv_values = st.one_of(
-    st.floats(),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
-    st.integers(),
-    st.booleans(),
-    st.none(),
-    st.sampled_from(["beta", "cutoff", "grid_n"]),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    rows=st.lists(
-        st.lists(st.tuples(st.sampled_from(_COLUMNS), _csv_values), min_size=1, max_size=16),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_csv_is_written_as_csv_writer_writes_it(rows):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._emit(None, argparse.Namespace(format="csv"), rows)
-    assert out.getvalue() == expected_csv(rows)
 
 
 def test_emit_gets_no_subclass_of_a_builtin_type(tmp_path, capsys, monkeypatch):
@@ -1217,7 +1140,7 @@ def test_empty_mode_set_exit_code(tmp_path, capsys, monkeypatch):
     assert "empty mode set" in err
 
 
-def test_reused_parser_matches_fresh_processes(tmp_path):
+def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path):
     """Calls in one process print what each argv prints in a process of its own."""
     transform = write_config(
         tmp_path, {"material": GOLDEN_MATERIAL, "boost": {"beta": 0.2}}, "transform.json"
@@ -1409,220 +1332,17 @@ def test_repeated_runs_are_identical(tmp_path, capsys):
     assert out_a == out_b
 
 
-_magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
-_signed = st.one_of(
-    st.just(0.0),
-    st.tuples(st.sampled_from((-1.0, 1.0)), _magnitude).map(lambda p: p[0] * p[1]),
-)
-_vector = st.lists(_signed, min_size=3, max_size=3)
-# vacuum cutoffs: the magnitudes above, or past 1e300 up to the largest
-# float, where 2.0 * cutoff overflows
-_cutoff = st.one_of(_magnitude, st.floats(1e300, sys.float_info.max))
-
-
-_beta = st.one_of(
-    st.just(0.0),
-    st.tuples(
-        st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 0.0, exclude_max=True)
-    ).map(lambda p: p[0] * 10.0 ** p[1]),
-)
-# increasing expansion grids in (0, 0.1]
-_beta_grid = st.lists(
-    st.floats(-300.0, -1.0).map(lambda e: 10.0**e), min_size=3, max_size=4, unique=True
-).map(sorted)
-
-
-@st.composite
-def _any_run(draw):
-    """One run of any command: (command, config, extra argv, whether a
-    sweep value must be rejected).
-
-    transform (config boost, beta sweep, both or --beta), expand-check
-    (default or drawn grid), velocity (vacuum or classical) and
-    vacuum-sweep (cutoff or grid_n), those with a vacuum section with
-    or without --cutoff, which may override the swept parameter. In
-    about one vacuum sweep of five a value breaks a sweep rule. Each
-    option is spelled as one token or as two, with a value written by
-    repr, so negative exponents come up. In about one draw of five the
-    sweep is replaced by one of a parameter the command does not read,
-    in about one of ten an option's value is "--" (--beta=--), and in
-    about one of ten -h, --help or the abbreviation --form is added. In
-    about one draw of ten a number is an integer beyond the float
-    range, and in another a section is repeated; json.dumps cannot
-    write a repeated key, so that config comes as its JSON text.
-    """
-    command, cfg, flags, rejected = draw(_run_of_each_command())
-    if draw(st.integers(0, 9)) == 9:
-        flags = (*flags, draw(st.sampled_from(("--beta=--", "--cutoff=--", "--format=--"))))
-    if draw(st.integers(0, 9)) == 9:
-        flags = (*flags, *draw(st.sampled_from((("-h",), ("--help",), ("--form", "json")))))
-    if draw(st.integers(0, 4)) == 4:
-        cfg["sweep"] = {
-            "parameter": draw(st.sampled_from(_UNREAD_SWEEPS[command])),
-            "values": draw(st.lists(_signed, min_size=1, max_size=3)),
-        }
-    fault = draw(st.integers(0, 9))
-    if fault == 8:
-        places = [
-            (name, key)
-            for name in ("material", "boost", "vacuum", "sweep")
-            for key in cfg.get(name, ())
-            if key not in ("chi", "grid_n", "parameter")
-        ]
-        section, key = draw(st.sampled_from(places))
-        huge = draw(st.sampled_from((10**400, -(10**400), 2**1024)))
-        if key == "values":
-            cfg[section][key][-1] = huge
-        else:
-            cfg[section][key] = huge
-    elif fault == 9:
-        section = draw(st.sampled_from(sorted(cfg)))
-        cfg = json.dumps(cfg)[:-1] + f", {json.dumps(section)}: {json.dumps(cfg[section])}}}"
-    return command, cfg, flags, rejected
-
-
-def _spelled(draw, option, value):
-    """The option and its value as one token or as two, drawn."""
-    return draw(st.sampled_from(((f"{option}={value}",), (option, value))))
-
-
-@st.composite
-def _run_of_each_command(draw):
-    cfg = {
-        "material": {
-            "epsilon": draw(_magnitude),
-            "mu": draw(_magnitude),
-            "chi": draw(st.lists(_signed, min_size=9, max_size=9)),
-            "rho0": draw(_magnitude),
-        },
-    }
-    kind = draw(
-        st.sampled_from(
-            ("transform", "transform-beta", "expand-check",
-             "classical", "vacuum", "cutoff", "grid_n")
-        )
-    )
-    if kind.startswith("transform"):
-        sections = draw(st.sampled_from((("boost",), ("sweep",), ("boost", "sweep"))))
-        if "boost" in sections:
-            cfg["boost"] = {"beta": draw(_beta)}
-        if "sweep" in sections:
-            cfg["sweep"] = {
-                "parameter": "beta",
-                "values": draw(st.lists(_beta, min_size=1, max_size=3)),
-            }
-        flags = ()
-        if kind == "transform-beta":
-            flags = _spelled(draw, "--beta", repr(draw(_beta)))
-        return "transform", cfg, flags, False
-    if kind in ("expand-check", "classical"):
-        cfg["fields"] = {"E": draw(_vector), "B": draw(_vector)}
-        if kind == "classical":
-            return "velocity", cfg, (), False
-        if draw(st.booleans()):
-            cfg["sweep"] = {"parameter": "beta", "values": draw(_beta_grid)}
-        return "expand-check", cfg, (), False
-    vac = {
-        "grid_n": draw(st.integers(2, 6)),
-        "cutoff": draw(_cutoff),
-        "volume": draw(_magnitude),
-    }
-    cfg["vacuum"] = vac
-    rejected = kind != "vacuum" and draw(st.integers(0, 4)) == 4
-    # --cutoff would be rejected before the values of a cutoff sweep are read
-    override = not (rejected and kind == "cutoff") and draw(st.booleans())
-    flags = _spelled(draw, "--cutoff", repr(draw(_signed))) if override else ()
-    if kind == "vacuum":
-        return "velocity", cfg, flags, False
-    c = vac["cutoff"]
-    if kind == "cutoff" and rejected:
-        values = draw(st.sampled_from(rejected_cutoffs(c)))
-    elif kind == "cutoff":
-        # ascending cutoffs whose scaled grids stay small
-        factors = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)), min_size=1, unique=True))
-        values = [c * f for f in sorted(factors)]
-    else:
-        values = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
-        if rejected:
-            bad = draw(st.sampled_from(REJECTED_GRID_NS))
-            values.insert(draw(st.integers(0, len(values))), bad)
-    cfg["sweep"] = {"parameter": kind, "values": values}
-    return "vacuum-sweep", cfg, flags, rejected
-
-
-# n V underflows to 0 at these; both once ended in a ZeroDivisionError
-_UNDERFLOWING_INDEX = {"epsilon": 4.4e-289, "mu": 4.1e-68, "chi": [0.0] * 9, "rho0": 1.0}
-_UNDERFLOWING_N_VOLUME = dict(_UNDERFLOWING_INDEX, epsilon=1.0, mu=5.2e-292)
-
-
 @settings(max_examples=250, deadline=None)
-@given(run=_any_run(), fmt=st.sampled_from(("csv", "json")).flatmap(
-    lambda fmt: st.sampled_from((("--format", fmt), (f"--format={fmt}",)))
-))
-@example(
-    run=("velocity", {"material": _UNDERFLOWING_INDEX,
-                      "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 1.0}}, (), False),
-    fmt=("--format", "csv"),
-)
-@example(
-    run=("vacuum-sweep", {"material": _UNDERFLOWING_N_VOLUME,
-                          "vacuum": {"grid_n": 2, "cutoff": 1e5, "volume": 5.8e-199},
-                          "sweep": {"parameter": "grid_n", "values": [2]}}, (), False),
-    fmt=("--format", "csv"),
-)
-@example(
-    run=("transform", {"material": _HUGE_CONSTANTS}, ("--beta=0.1",), False),
-    fmt=("--format", "csv"),
-)
-@example(
-    run=("expand-check", {"material": _UNDERFLOWING_INDEX, "fields": CROSSED_FIELDS}, (), False),
-    fmt=("--format", "csv"),
-)
-@example(
-    run=("transform", {"material": GOLDEN_MATERIAL}, ("--beta", "-1e-05"), False),
-    fmt=("--format=json",),
-)
-def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run, fmt):
-    command, cfg, flags, rejected = run
+@given(run=st.randoms(use_true_random=False).map(random_run))
+@example(run=FIXED_RUNS[0])
+@example(run=FIXED_RUNS[1])
+@example(run=FIXED_RUNS[2])
+@example(run=FIXED_RUNS[3])
+@example(run=FIXED_RUNS[4])
+@example(run=FIXED_RUNS[5])
+def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run):
+    """A random run gives help, a usage error, a documented exit code
+    with a message or finite output (portable_checks.check_run)."""
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
-    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main([command, str(path), *fmt, *flags])
-    # help or a usage error, on every Python, before the config is read
-    if "-h" in flags or "--help" in flags:
-        assert (rc, err.getvalue()) == (0, "") and out.getvalue().startswith("usage: vacmom")
-        return
-    if "--form" in flags or any(token.endswith("=--") for token in flags):
-        assert (rc, out.getvalue()) == (2, "") and err.getvalue().startswith("usage: vacmom")
-        return
-    assert rc in (0, 2, 3, 4, 5)
-    if rejected:
-        assert rc == 2, err.getvalue()
-    if isinstance(cfg, str):
-        assert rc == 2 and "duplicate key" in err.getvalue()
-    elif "sweep" in cfg:
-        # an override of the swept parameter is rejected, not dropped
-        swept = f"--{cfg['sweep']['parameter']}"
-        if any(token.partition("=")[0] == swept for token in flags):
-            assert rc == 2
-    if rc != 0:
-        assert err.getvalue()
-        return
-    if fmt[-1].endswith("json"):
-        rows = json.loads(out.getvalue())["result"]["rows"]
-    else:
-        rows = read_rows(out.getvalue())
-    for row in rows:
-        for column, value in row.items():
-            try:
-                x = float(value)
-            except (TypeError, ValueError):  # null, or a parameter name
-                continue
-            if not math.isfinite(x):
-                # expand-check leaves the slope out when every residual is 0
-                unfitted = column == "slope" and row["identically_zero"] in (True, "true")
-                assert unfitted or column == "term_ratio" or column.startswith("slope_"), (
-                    column,
-                    value,
-                )
+    _, problem = check_run(run, str(path))
+    assert problem is None, problem

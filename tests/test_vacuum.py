@@ -152,7 +152,7 @@ def test_mode_invariants():
         assert abs(dot(pair[0].polarization, pair[1].polarization)) <= 1e-12
         # the library's |E x B| carries the same amplitude: 2 n a^2 at
         # each of k and -k
-        single = vacuum_bilinears(ModeSet(((*k, 1),), CUTOFF, volume, 4), m)
+        single = vacuum_bilinears(ModeSet(((*k, 1),), CUTOFF, volume), m)
         assert math.isclose(single.abs_e_cross_b, 4.0 * n * want_amp**2, rel_tol=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_build_rejects_a_cutoff_or_volume_not_finite_and_positive(name, value):
 
 
 def test_empty_mode_set_rejected_by_summation():
-    empty = ModeSet((), CUTOFF, 1.0, 4)
+    empty = ModeSet((), CUTOFF, 1.0)
     with pytest.raises(EmptyModeSet):
         vacuum_bilinears(empty, M_EMPTY)
 
@@ -202,7 +202,7 @@ def test_single_axial_mode_bilinears():
     n = M_COUPLED.index
     k0 = 0.25 * CUTOFF
     a2 = 2.0 * math.pi * HBAR * C_LIGHT * k0 / n
-    ms = ModeSet(((0.0, 0.0, k0, 1),), CUTOFF, 1.0, 2)
+    ms = ModeSet(((0.0, 0.0, k0, 1),), CUTOFF, 1.0)
     bs = vacuum_bilinears(ms, M_COUPLED)
     assert bs.mode_count == 4
     assert bs.e_cross_b == Vec3(0.0, 0.0, 0.0)
@@ -291,7 +291,7 @@ def test_summation_is_deterministic():
 
 def test_summation_is_order_independent():
     ms = build_mode_set(M_GENERIC, 7, CUTOFF, 1.0)
-    reversed_ms = ModeSet(ms.orbits[::-1], ms.cutoff, ms.volume, ms.grid_n)
+    reversed_ms = ModeSet(ms.orbits[::-1], ms.cutoff, ms.volume)
     assert vacuum_bilinears(reversed_ms, M_GENERIC) == vacuum_bilinears(ms, M_GENERIC)
 
 
@@ -351,7 +351,7 @@ _HAND_MADE = ((-3e4, -2e4, -5e4), (1e4, -7e4, 3e3), (-6e4, 4e4, 0.0), (2e4, 0.0,
 def test_hand_made_entries_of_every_count(m, counts):
     # each entry stands for its first count pairs, in both modes
     entries = tuple((*k, count) for k, count in zip(_HAND_MADE, counts))
-    ms = ModeSet(entries, CUTOFF, 1.0, 4)
+    ms = ModeSet(entries, CUTOFF, 1.0)
     want = full_grid_closed_form(list(full_grid(ms)), m, 1.0)
     got = vacuum_bilinears(ms, m)
     assert repr(got) == repr(want)
@@ -368,7 +368,7 @@ def test_entries_of_a_count_outside_1_to_4_are_rejected(count, magnitudes):
     # a count of 5 once summed 4 pairs while mode_count counted 5, and
     # -1 trimmed records of the entry before it
     entries = ((*_HAND_MADE[0], 4), (*_HAND_MADE[1], count))
-    ms = ModeSet(entries, CUTOFF, 1.0, 4)
+    ms = ModeSet(entries, CUTOFF, 1.0)
     with pytest.raises(ValueError, match=rf"^orbit count must be 1 to 4, got \(.*, {count}\)$"):
         vacuum_bilinears(ms, M_GENERIC, magnitudes=magnitudes)
 
@@ -401,7 +401,7 @@ def test_closed_form_matches_polarization_sum(chi, eps, mu, direction, kmag):
     m = Material(eps, mu, Mat3(*chi), 1.0)
     norm = math.hypot(*direction)
     k = tuple(kmag * c / norm for c in direction)
-    ms = ModeSet(((*k, 1),), kmag, 1.0, 2)
+    ms = ModeSet(((*k, 1),), kmag, 1.0)
     got = vacuum_bilinears(ms, m)
     want = reference_bilinears(ms, m)
     a2 = amplitude(math.hypot(*k), m, 1.0) ** 2
