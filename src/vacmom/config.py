@@ -17,7 +17,7 @@ from numbers import Real
 
 from .algebra import BoostSpec, FieldState, Mat3, Material, Vec3
 from .errors import ConfigError
-from .vacuum import MAX_GRID_N
+from .vacuum import _check_grid_n
 
 _SWEEP_PARAMETERS = ("beta", "cutoff", "grid_n")
 
@@ -68,12 +68,10 @@ def _positive(value, path) -> float:
 
 
 def _grid_n(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if not 2 <= value <= MAX_GRID_N:
-        raise ConfigError(
-            f"{path}: must lie in [2, MAX_GRID_N={MAX_GRID_N}], got {value}"
-        )
+    try:
+        _check_grid_n(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return value
 
 

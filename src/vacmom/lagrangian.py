@@ -8,6 +8,9 @@ Three views of the same physics:
   the expansion order is enforced numerically by verify_expansion.
 * me_density_first_order: the expansion truncated at first order in
   beta, split into named pieces (zeroth, field mixing, mu correction).
+  Only their factor beta/mu depends on beta: _first_order_factors
+  forms the others and _first_order_at the pieces at one beta, so
+  verify_expansion forms the factors once for its whole grid.
 * vector_form_density: the first-order pieces rewritten with cross
   products pulled against the boost direction; equal to
   mixing + mu_correction through the cyclic triple-product identity.
@@ -69,6 +72,30 @@ def me_density_exact(m: Material, f: FieldState, b: BoostSpec) -> float:
     return (1.0 / tc.mu_prime) * dot(fp.B, mat_t_apply(m.chi, fp.E))
 
 
+def _first_order_factors(m: Material, f: FieldState) -> tuple[float, float, float, float]:
+    """The beta-independent factors of the first-order pieces:
+
+    zeroth   (1/mu) B . chi^T E
+    bce      B . chi^T E
+    bracket  B . chi^T (z x B) + (E x z) . chi^T E
+    stretch  n - 1/n
+    """
+    chi_t_e = mat_t_apply(m.chi, f.E)
+    bce = dot(f.B, chi_t_e)
+    zeroth = (1.0 / m.mu) * bce
+    bracket = dot(f.B, mat_t_apply(m.chi, cross(ZHAT, f.B))) + dot(cross(f.E, ZHAT), chi_t_e)
+    n = m.index
+    return zeroth, bce, bracket, n - 1.0 / n
+
+
+def _first_order_at(mu: float, factors, beta: float) -> LagrangianBreakdown:
+    """The first-order pieces at beta from _first_order_factors."""
+    zeroth, bce, bracket, stretch = factors
+    mixing = (beta / mu) * bracket
+    mu_correction = (beta / mu) * stretch * bce
+    return LagrangianBreakdown(zeroth, mixing, mu_correction, zeroth + mixing + mu_correction)
+
+
 def me_density_first_order(m: Material, f: FieldState, b: BoostSpec) -> LagrangianBreakdown:
     """First-order truncation in beta, split into its named pieces.
 
@@ -76,21 +103,7 @@ def me_density_first_order(m: Material, f: FieldState, b: BoostSpec) -> Lagrangi
     mixing        (beta/mu) [B . chi^T (z x B) + (E x z) . chi^T E]
     mu_correction (beta/mu) (n - 1/n) B . chi^T E
     """
-    chi_t_e = mat_t_apply(m.chi, f.E)
-    bce = dot(f.B, chi_t_e)
-    zeroth = (1.0 / m.mu) * bce
-    mixing = (b.beta / m.mu) * (
-        dot(f.B, mat_t_apply(m.chi, cross(ZHAT, f.B)))
-        + dot(cross(f.E, ZHAT), chi_t_e)
-    )
-    n = m.index
-    mu_correction = (b.beta / m.mu) * (n - 1.0 / n) * bce
-    return LagrangianBreakdown(
-        zeroth=zeroth,
-        mixing=mixing,
-        mu_correction=mu_correction,
-        total_first_order=zeroth + mixing + mu_correction,
-    )
+    return _first_order_at(m.mu, _first_order_factors(m, f), b.beta)
 
 
 def vector_form_density(m: Material, f: FieldState, b: BoostSpec) -> float:
@@ -136,10 +149,12 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
     fits the log-log slope of r against beta (expected near 2), and
     compares the central-difference derivative of the exact density at
     beta = 0 with the analytic first-order rate (mixing + mu_correction)
-    divided by beta. Residuals that vanish identically (chi = 0 or
-    degenerate fields) are flagged instead of fitted. Raises
-    NonFiniteResult when a density, a residual or the derivative
-    comparison leaves the float range.
+    divided by beta. The first-order pieces come from beta-independent
+    factors formed once per call, bit for bit what
+    me_density_first_order gives at each beta. Residuals that vanish
+    identically (chi = 0 or degenerate fields) are flagged instead of
+    fitted. Raises NonFiniteResult when a density, a residual or the
+    derivative comparison leaves the float range.
     """
     grid = tuple(float(x) for x in beta_grid)
     if len(grid) < 3:
@@ -151,11 +166,13 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
         raise DegenerateGrid("grid must be strictly increasing")
 
     try:
+        # the first-order pieces differ between betas only by their
+        # factor beta/mu, so their other factors are formed once
+        factors = _first_order_factors(m, f)
         residuals = []
         for beta in grid:
-            spec = BoostSpec(beta)
-            exact = me_density_exact(m, f, spec)
-            bk = me_density_first_order(m, f, spec)
+            exact = me_density_exact(m, f, BoostSpec(beta))
+            bk = _first_order_at(m.mu, factors, beta)
             if not residuals:
                 # the analytic first-order rate, taken at the smallest beta
                 rate = (bk.mixing + bk.mu_correction) / beta

@@ -16,6 +16,11 @@ captured, at COLUMNS=80. The corpus:
   largest floats, sweeps whose values now and then break a sweep rule,
   and a few faults each (help, usage errors, unread sweeps, ints past
   the float range, repeated sections);
+- the fixed runs of ``portable_checks.FIXED_RUNS``, which random draws
+  seldom make: underflowing indices, the largest constants, a
+  fractional grid_n sweep value, a vacuum.grid_n of 4.0, and
+  expand-check at chi = 0, at n = 1e6 and with fields whose
+  first-order density overflows;
 - vacuum grids at the float-range edges, which random configs rarely
   build: subnormal cell centres with normal chi channels, the largest
   float as cutoff, and a cutoff sweep whose ratio times grid_n overflows;
@@ -114,6 +119,11 @@ def _random_configs(corpus: _Corpus, rng: random.Random, count: int) -> None:
         corpus.add("random configs", [command, corpus.file(cfg), *flags])
 
 
+def _fixed_runs(corpus: _Corpus) -> None:
+    for command, cfg, flags, _ in portable_checks.FIXED_RUNS:
+        corpus.add("fixed runs", [command, corpus.file(cfg), *flags])
+
+
 def _vacuum_edges(corpus: _Corpus) -> None:
     runs = []
     for cutoff, volume in ((1e-310, 1e-300), (1.7976931348623157e308, 1.0)):
@@ -208,6 +218,7 @@ def main(argv=None) -> int:
         os.makedirs(corpus.directory)
         _bench_ops(corpus, args.seed)
         _random_configs(corpus, random.Random(f"configs/{args.seed}"), args.count // 4)
+        _fixed_runs(corpus)
         _vacuum_edges(corpus)
         _file_faults(corpus)
         _argv_corpus(corpus, args.seed, args.count)

@@ -699,6 +699,34 @@ FIXED_RUNS = (
         ["--format", "csv"],
         True,
     ),
+    # but vacuum.grid_n must be an int: only a sweep value is read as one
+    (
+        "velocity",
+        {"material": GOLDEN_MATERIAL, "vacuum": {"grid_n": 4.0, "cutoff": 1e5, "volume": 1.0}},
+        ["--format", "csv"],
+        True,
+    ),
+    # expand-check where random draws seldom go: chi = 0 leaves the
+    # slope out, n = 1e6 moves the probe step to 0.5 / n, and the
+    # first-order bracket B . chi^T (z x B) of these fields overflows
+    (
+        "expand-check",
+        {"material": dict(GOLDEN_MATERIAL, chi=[0.0] * 9), "fields": CROSSED_FIELDS},
+        ["--format", "csv"],
+        False,
+    ),
+    (
+        "expand-check",
+        {"material": dict(GOLDEN_MATERIAL, epsilon=1e12), "fields": CROSSED_FIELDS},
+        ["--format", "json"],
+        False,
+    ),
+    (
+        "expand-check",
+        {"material": GOLDEN_MATERIAL, "fields": {"E": [0.0] * 3, "B": [1e160, 1e160, 0.0]}},
+        ["--format", "csv"],
+        True,
+    ),
 )
 
 

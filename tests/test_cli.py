@@ -715,6 +715,11 @@ def test_transverse_residual_survives_extreme_fields(tmp_path, capsys, scale):
     "command, cfg",
     [
         ("velocity", {"vacuum": {"grid_n": MAX_GRID_N + 1, "cutoff": 1e5, "volume": 1.0}}),
+        # vacuum.grid_n goes through the rule of the grid_n sweep
+        ("velocity", {"vacuum": {"grid_n": 1, "cutoff": 1e5, "volume": 1.0}}),
+        ("velocity", {"vacuum": {"grid_n": 4.0, "cutoff": 1e5, "volume": 1.0}}),
+        ("velocity", {"vacuum": {"grid_n": True, "cutoff": 1e5, "volume": 1.0}}),
+        ("velocity", {"vacuum": {"grid_n": "4", "cutoff": 1e5, "volume": 1.0}}),
         (
             "vacuum-sweep",
             {
@@ -748,6 +753,10 @@ def test_transverse_residual_survives_extreme_fields(tmp_path, capsys, scale):
     ],
     ids=[
         "vacuum-grid_n",
+        "vacuum-grid_n-1",
+        "vacuum-grid_n-float",
+        "vacuum-grid_n-bool",
+        "vacuum-grid_n-str",
         "grid_n-sweep",
         "grid_n-sweep-inf",
         "cutoff-sweep",
@@ -771,6 +780,23 @@ def test_grid_ceiling_is_config_error(tmp_path, capsys, monkeypatch, command, cf
     assert out == ""
     assert err.startswith("config error:")
     assert "MAX_GRID_N" in err
+
+
+@pytest.mark.parametrize("value", [1, MAX_GRID_N + 1, 4.0, True, "4"], ids=repr)
+def test_vacuum_grid_n_rejection_names_its_field(value):
+    cfg = {"material": GOLDEN_MATERIAL, "vacuum": {"grid_n": value, "cutoff": 1e5, "volume": 1.0}}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(cfg)
+    assert str(exc.value) == (
+        f"config.vacuum.grid_n: grid_n must be an integer in [2, MAX_GRID_N={MAX_GRID_N}],"
+        f" got {value!r}"
+    )
+
+
+@pytest.mark.parametrize("value", [2, MAX_GRID_N])
+def test_vacuum_grid_n_accepts_the_ends_of_its_range(value):
+    cfg = {"material": GOLDEN_MATERIAL, "vacuum": {"grid_n": value, "cutoff": 1e5, "volume": 1.0}}
+    assert parse_config(cfg).vacuum.grid_n == value
 
 
 def test_vacuum_sweep_rejects_fractional_grid(tmp_path, capsys):
@@ -1340,6 +1366,10 @@ def test_repeated_runs_are_identical(tmp_path, capsys):
 @example(run=FIXED_RUNS[3])
 @example(run=FIXED_RUNS[4])
 @example(run=FIXED_RUNS[5])
+@example(run=FIXED_RUNS[6])
+@example(run=FIXED_RUNS[7])
+@example(run=FIXED_RUNS[8])
+@example(run=FIXED_RUNS[9])
 def test_any_finite_config_gives_output_or_an_exit_code(tmp_path_factory, run):
     """A random run gives help, a usage error, a documented exit code
     with a message or finite output (portable_checks.check_run)."""

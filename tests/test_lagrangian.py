@@ -1,6 +1,7 @@
 """Interaction density: truncation pieces, vector form, order verification."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -8,20 +9,27 @@ from hypothesis import strategies as st
 
 from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, transpose
 from vacmom import (
+    ZHAT,
     BoostSpec,
     DegenerateGrid,
+    ExpansionReport,
     FieldState,
     Mat3,
     Material,
+    NonFiniteResult,
     Vec3,
+    cross,
     isolate_mu_term,
+    lagrangian,
     mat_apply,
+    mat_t_apply,
     dot,
     me_density_exact,
     me_density_first_order,
     vector_form_density,
     verify_expansion,
 )
+from vacmom.algebra import fit_loglog_slope
 
 GRID = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 
@@ -236,3 +244,115 @@ def test_isolate_mu_term_tracks_mu_correction():
     # remainder is O(beta^2); on this configuration about 5.6e-7
     assert abs(iso - muc) <= 1e-6
     assert abs(iso - muc) / abs(muc) <= 1e-3
+
+
+def _first_order_reference(m, f, beta):
+    """The first-order pieces (zeroth, mixing, mu_correction, total) as
+    one expression per beta, each operation in the library's order."""
+    chi_t_e = mat_t_apply(m.chi, f.E)
+    bce = dot(f.B, chi_t_e)
+    zeroth = (1.0 / m.mu) * bce
+    mixing = (beta / m.mu) * (
+        dot(f.B, mat_t_apply(m.chi, cross(ZHAT, f.B))) + dot(cross(f.E, ZHAT), chi_t_e)
+    )
+    n = m.index
+    mu_correction = (beta / m.mu) * (n - 1.0 / n) * bce
+    return zeroth, mixing, mu_correction, zeroth + mixing + mu_correction
+
+
+def _verify_expansion_reference(m, f, grid):
+    """verify_expansion on a valid grid as a loop that forms both
+    densities afresh at each beta: the rate from the first beta, then
+    the central difference at +-h."""
+    try:
+        residuals = []
+        for beta in grid:
+            exact = me_density_exact(m, f, BoostSpec(beta))
+            _, mixing, mu_correction, total = _first_order_reference(m, f, beta)
+            if not residuals:
+                rate = (mixing + mu_correction) / beta
+            residuals.append(abs(exact - total))
+        h = min(1e-6, 0.5 / m.index)
+        fd = (
+            me_density_exact(m, f, BoostSpec(h)) - me_density_exact(m, f, BoostSpec(-h))
+        ) / (2.0 * h)
+    except (ValueError, ZeroDivisionError):
+        raise NonFiniteResult(lagrangian._out_of_range(m, f)) from None
+    delta = abs(fd - rate)
+    if not (delta < math.inf and all(r < math.inf for r in residuals)):
+        raise NonFiniteResult(lagrangian._out_of_range(m, f))
+    scale = max(abs(fd), abs(rate))
+    return ExpansionReport(
+        beta_grid=tuple(grid),
+        residuals=tuple(residuals),
+        slope=fit_loglog_slope(grid, residuals),
+        derivative_delta=delta,
+        derivative_rel=delta / scale if scale > 0.0 else 0.0,
+        identically_zero=not any(residuals),
+    )
+
+
+def _bits(value):
+    """value with every float replaced by its IEEE bytes, so -0.0 != 0.0
+    and a nan equals the same nan."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value
+
+
+def _outcome(call, *args):
+    try:
+        return "report", _bits(call(*args))
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _expansion_cases():
+    """Seeded (material, fields, grid) draws: generic, chi = 0, unit
+    index, n from 5e5 to 1e7 (the probe step becomes 0.5 / n), fields
+    from 1e-150 to 1e150, and inputs whose densities leave the float
+    range."""
+    rng = make_rng(2311)
+    for i in range(240):
+        m, f = draw_config(rng)
+        kind = i % 8
+        if kind == 1:
+            m = Material(m.epsilon, m.mu, Mat3.zero(), 1.0)
+        elif kind == 2:
+            eps = (0.25, 0.5, 1.0, 2.0, 4.0)[i % 5]
+            m = Material(eps, 1.0 / eps, m.chi, 1.0)
+        elif kind == 3:
+            m = Material(float(rng.uniform(2.5e11, 1e14)) / m.mu, m.mu, m.chi, 1.0)
+        elif kind == 4:
+            s = 10.0 ** float(rng.uniform(-150.0, 150.0))
+            f = FieldState(f.E.scale(s), f.B.scale(s))
+        elif kind == 5:
+            # past 1e154 the field bilinears overflow; at 1e308 chi^T E does
+            s = (1e200, 1e308)[i % 2]
+            f = FieldState(f.E.scale(s), f.B.scale(s))
+        elif kind == 6:
+            # eps mu underflows to 0, so 1/n has no value
+            m = Material(4.4e-289, 4.1e-68, m.chi, 1.0)
+        if i % 3 == 0:
+            exponents = sorted(rng.choice(range(-9, 0), int(rng.integers(3, 6)), replace=False))
+            grid = tuple(float(10.0 ** (e - rng.random())) for e in exponents)
+        else:
+            grid = GRID
+        yield m, f, grid
+
+
+def test_verify_expansion_is_the_per_beta_loop_bit_for_bit():
+    kinds = set()
+    for m, f, grid in _expansion_cases():
+        got = _outcome(verify_expansion, m, f, grid)
+        assert got == _outcome(_verify_expansion_reference, m, f, grid), (m, f, grid)
+        for beta in grid:
+            assert _outcome(me_density_first_order, m, f, BoostSpec(beta)) == _outcome(
+                _first_order_reference, m, f, beta
+            )
+        kinds.add(got[0] if got[0] == "raised" else ("report", got[1][-1]))
+    # every kind of outcome came up: a fitted report, an identically
+    # zero one and a NonFiniteResult
+    assert kinds == {("report", False), ("report", True), "raised"}

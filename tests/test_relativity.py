@@ -1,12 +1,14 @@
 """Constant and field transforms: fixed points, goldens, invariances."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import YHAT
+from moving_medium_reference import lab_fields, moving_constants
 from vacmom import (
     BoostSpec,
     DegenerateBoost,
@@ -197,3 +199,39 @@ def test_transform_fields_is_the_vector_form_bitwise(e, b, beta):
     got = transform_fields(f, BoostSpec(beta))
     for u, v in ((got.E, want.E), (got.B, want.B)):
         assert [c.hex() for c in u] == [c.hex() for c in v]
+
+
+# the constants are a few roundings from their inputs on both sides
+_PLANE_WAVE_RTOL = 1e-13
+
+
+def _plane_wave_draws():
+    """Seeded (eps, mu, beta): eps and mu log-uniform in [0.1, 10], and
+    |beta| n below 0.9, so that the boost at -beta is defined too."""
+    rng = random.Random(1004)
+    for _ in range(500):
+        eps, mu = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+        limit = 0.9 * min(1.0, 1.0 / math.sqrt(eps * mu))
+        yield eps, mu, rng.uniform(-limit, limit)
+
+
+def test_plane_waves_of_the_moving_medium_satisfy_the_minkowski_relations():
+    # the oracle's own check: D - beta H = eps (E - beta B) and
+    # B - beta E = mu (H - beta D) along x and y
+    for eps, mu, beta in _plane_wave_draws():
+        for direction in (1, -1):
+            e, b, d, h = lab_fields(eps, mu, beta, direction)
+            assert math.isclose(d - beta * h, eps * (e - beta * b), rel_tol=_PLANE_WAVE_RTOL)
+            assert math.isclose(b - beta * e, mu * (h - beta * d), rel_tol=_PLANE_WAVE_RTOL)
+
+
+def test_transform_constants_are_what_plane_waves_along_z_see():
+    # the wave along +z sees the constants at beta, the one along -z
+    # those at -beta
+    for eps, mu, beta in _plane_wave_draws():
+        m = _material(eps, mu)
+        for direction in (1, -1):
+            want = moving_constants(eps, mu, beta, direction)
+            got = transform_constants(m, BoostSpec(direction * beta))
+            assert math.isclose(got.epsilon_prime, want[0], rel_tol=_PLANE_WAVE_RTOL)
+            assert math.isclose(got.mu_prime, want[1], rel_tol=_PLANE_WAVE_RTOL)
