@@ -161,10 +161,18 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file.
+
+    The file is read in one unbuffered read and decoded as UTF-8, with
+    the universal newlines of text mode: CRLF and a lone CR each become
+    LF, so a malformed file reports the line and column a text-mode read
+    would.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if text.startswith("\ufeff"):
             # what json.loads reports before it decodes
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)

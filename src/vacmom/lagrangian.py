@@ -5,7 +5,10 @@ Three views of the same physics:
 * me_density_exact: the full composition (1/mu'(beta)) B' . chi^T E'
   with exactly transformed constants and fields. This is the reference
   model whose Taylor expansion in beta the truncated forms must match;
-  the expansion order is enforced numerically by verify_expansion.
+  the expansion order is enforced numerically by verify_expansion,
+  which forms its inputs once (_exact_factors) and the density at each
+  beta in plain floats (_exact_at), bit for bit what me_density_exact
+  gives, through relativity's beta-independent and per-beta parts.
 * me_density_first_order: the expansion truncated at first order in
   beta, split into named pieces (zeroth, field mixing, mu correction).
   Only their factor beta/mu depends on beta: _first_order_factors
@@ -36,7 +39,13 @@ from .algebra import (
     mat_t_apply,
 )
 from .errors import DegenerateGrid, NonFiniteResult
-from .relativity import transform_constants, transform_fields
+from .relativity import (
+    _constant_factors,
+    _constants_at,
+    _fields_at,
+    transform_constants,
+    transform_fields,
+)
 
 # central difference step for the derivative check; balances truncation
 # against round-off for double precision. The probe at -h needs
@@ -70,6 +79,32 @@ def me_density_exact(m: Material, f: FieldState, b: BoostSpec) -> float:
     tc = transform_constants(m, b)
     fp = transform_fields(f, b)
     return (1.0 / tc.mu_prime) * dot(fp.B, mat_t_apply(m.chi, fp.E))
+
+
+def _exact_factors(m: Material, f: FieldState) -> tuple:
+    """The beta-independent inputs of the exact density: those of the
+    transformed constants, the six lab field components, and chi."""
+    return _constant_factors(m), (*f.E, *f.B), m.chi
+
+
+def _exact_at(factors, beta: float) -> float:
+    """me_density_exact at beta from _exact_factors, in plain floats.
+
+    mu' and the boosted fields come from relativity's per-beta parts,
+    and chi^T E' and B' . chi^T E' take the operations of mat_t_apply
+    and dot in their order, so a finite value is bit for bit that of
+    me_density_exact. Where a boosted component or chi^T E' leaves the
+    float range, me_density_exact raises ValueError; this returns the
+    nan or inf instead.
+    """
+    constants, fields, chi = factors
+    _, mu_prime = _constants_at(constants, beta)
+    ex, ey, ez, bx, by, bz = _fields_at(fields, beta)
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = chi
+    cx = xx * ex + yx * ey + zx * ez
+    cy = xy * ex + yy * ey + zy * ez
+    cz = xz * ex + yz * ey + zz * ez
+    return (1.0 / mu_prime) * (bx * cx + by * cy + bz * cz)
 
 
 def _first_order_factors(m: Material, f: FieldState) -> tuple[float, float, float, float]:
@@ -149,12 +184,14 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
     fits the log-log slope of r against beta (expected near 2), and
     compares the central-difference derivative of the exact density at
     beta = 0 with the analytic first-order rate (mixing + mu_correction)
-    divided by beta. The first-order pieces come from beta-independent
-    factors formed once per call, bit for bit what
-    me_density_first_order gives at each beta. Residuals that vanish
-    identically (chi = 0 or degenerate fields) are flagged instead of
-    fitted. Raises NonFiniteResult when a density, a residual or the
-    derivative comparison leaves the float range.
+    divided by beta. The first-order pieces and the exact densities at
+    the grid and at +-h come from beta-independent factors formed once
+    per call, bit for bit what me_density_first_order and
+    me_density_exact give at each beta; no record is built per beta.
+    Residuals that vanish identically (chi = 0 or degenerate fields)
+    are flagged instead of fitted. Raises NonFiniteResult when a
+    density, a residual or the derivative comparison leaves the float
+    range.
     """
     grid = tuple(float(x) for x in beta_grid)
     if len(grid) < 3:
@@ -167,11 +204,13 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
 
     try:
         # the first-order pieces differ between betas only by their
-        # factor beta/mu, so their other factors are formed once
+        # factor beta/mu, and the exact density's inputs do not depend
+        # on beta, so both are formed once
         factors = _first_order_factors(m, f)
+        exact_factors = _exact_factors(m, f)
         residuals = []
         for beta in grid:
-            exact = me_density_exact(m, f, BoostSpec(beta))
+            exact = _exact_at(exact_factors, beta)
             bk = _first_order_at(m.mu, factors, beta)
             if not residuals:
                 # the analytic first-order rate, taken at the smallest beta
@@ -179,12 +218,12 @@ def verify_expansion(m: Material, f: FieldState, beta_grid) -> ExpansionReport:
             residuals.append(abs(exact - bk.total_first_order))
 
         h = min(_FD_STEP, 0.5 / m.index)
-        fd = (
-            me_density_exact(m, f, BoostSpec(h)) - me_density_exact(m, f, BoostSpec(-h))
-        ) / (2.0 * h)
+        fd = (_exact_at(exact_factors, h) - _exact_at(exact_factors, -h)) / (2.0 * h)
     except (ValueError, ZeroDivisionError) as exc:
-        # Vec3 rejects an overflowing field or chi product; 1/mu' or 1/n
-        # has no value where mu' or n underflows to 0
+        # Vec3 rejects an overflowing field or chi product of the
+        # first-order factors; 1/mu' or 1/n has no value where mu' or n
+        # underflows to 0. An exact density out of the float range is
+        # nan or inf, and the checks below reject it.
         raise NonFiniteResult(_out_of_range(m, f)) from exc
     delta = abs(fd - rate)
     # nan or inf; a finite delta means fd and rate are finite too

@@ -15,6 +15,13 @@ and the fields are.
 Longitudinal (z) components of eps and mu are outside this model; all
 downstream users assume transverse field configurations and the CLI
 warns when inputs violate that.
+
+Each transform is written once, split into its beta-independent inputs
+and a per-beta part that returns plain floats: _constant_factors and
+_constants_at for the constants, the six lab components and _fields_at
+for the fields. transform_constants and transform_fields wrap one call
+of each in their records; lagrangian.verify_expansion forms the inputs
+once and calls the per-beta parts at each beta of its grid.
 """
 
 from __future__ import annotations
@@ -30,6 +37,30 @@ class TransformedConstants(namedtuple("TransformedConstants", "epsilon_prime mu_
     __slots__ = ()
 
 
+def _constant_factors(m: Material) -> tuple[float, float, float, float, float]:
+    """The beta-independent inputs of the transformed constants:
+    eps, mu, n = sqrt(eps mu), sqrt(eps/mu) and sqrt(mu/eps)."""
+    return (
+        m.epsilon,
+        m.mu,
+        m.index,
+        math.sqrt(m.epsilon / m.mu),
+        math.sqrt(m.mu / m.epsilon),
+    )
+
+
+def _constants_at(factors, beta: float) -> tuple[float, float]:
+    """(eps', mu') at beta from _constant_factors, as plain floats."""
+    epsilon, mu, n, root_eps, root_mu = factors
+    if beta == 0.0:
+        return epsilon, mu
+    denom = 1.0 + n * beta
+    if denom <= 0.0:
+        raise DegenerateBoost(f"1 + n*beta = {denom!r} <= 0 for n={n!r}, beta={beta!r}")
+    factor = (n + beta) / denom
+    return root_eps * factor, root_mu * factor
+
+
 def transform_constants(m: Material, b: BoostSpec) -> TransformedConstants:
     """Optical constants of the moving medium seen from the rest frame.
 
@@ -38,18 +69,7 @@ def transform_constants(m: Material, b: BoostSpec) -> TransformedConstants:
     for the given index). beta = 0 short-circuits and returns the input
     constants bit-identically.
     """
-    if b.beta == 0.0:
-        return TransformedConstants(m.epsilon, m.mu)
-    n = m.index
-    denom = 1.0 + n * b.beta
-    if denom <= 0.0:
-        raise DegenerateBoost(
-            f"1 + n*beta = {denom!r} <= 0 for n={n!r}, beta={b.beta!r}"
-        )
-    factor = (n + b.beta) / denom
-    mu_prime = math.sqrt(m.mu / m.epsilon) * factor
-    epsilon_prime = math.sqrt(m.epsilon / m.mu) * factor
-    return TransformedConstants(epsilon_prime, mu_prime)
+    return TransformedConstants(*_constants_at(_constant_factors(m), b.beta))
 
 
 def index_of(tc: TransformedConstants) -> float:
@@ -66,22 +86,28 @@ def index_of(tc: TransformedConstants) -> float:
     )
 
 
+def _fields_at(components, beta: float) -> tuple[float, float, float, float, float, float]:
+    """The six components of the boosted (E, B) at beta, as plain floats,
+    from the six lab components (E then B): the beta-independent inputs
+    of the field boost are those components themselves."""
+    # (beta z) x B and (beta z) x E with the 0.0 products of cross(): each
+    # operation is that of the vector form, in its order, signed zeros too
+    ex, ey, ez, bx, by, bz = components
+    zbx, zby, zbz = 0.0 * bz - beta * by, beta * bx - 0.0 * bz, 0.0 * by - 0.0 * bx
+    zex, zey, zez = 0.0 * ez - beta * ey, beta * ex - 0.0 * ez, 0.0 * ey - 0.0 * ex
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    # E_par + gamma (E_perp + beta z x B) and B_par + gamma (B_perp - beta z x E)
+    return (
+        0.0 + g * (ex + zbx), 0.0 + g * (ey + zby), ez + g * (0.0 + zbz),
+        0.0 + g * (bx - zex), 0.0 + g * (by - zey), bz + g * (0.0 - zez),
+    )
+
+
 def transform_fields(f: FieldState, b: BoostSpec) -> FieldState:
     """Field pair in the frame where the medium moves at +beta z.
 
     Longitudinal components are unchanged; transverse ones get the
     exact gamma (E_t + beta x B) / gamma (B_t - beta x E) form.
     """
-    # (beta z) x B and (beta z) x E with the 0.0 products of cross(): each
-    # operation is that of the vector form, in its order, signed zeros too
-    beta = b.beta
-    ex, ey, ez = f.E
-    bx, by, bz = f.B
-    zbx, zby, zbz = 0.0 * bz - beta * by, beta * bx - 0.0 * bz, 0.0 * by - 0.0 * bx
-    zex, zey, zez = 0.0 * ez - beta * ey, beta * ex - 0.0 * ez, 0.0 * ey - 0.0 * ex
-    g = 1.0 / math.sqrt(1.0 - beta * beta)
-    # E_par + gamma (E_perp + beta z x B) and B_par + gamma (B_perp - beta z x E)
-    return FieldState(
-        Vec3(0.0 + g * (ex + zbx), 0.0 + g * (ey + zby), ez + g * (0.0 + zbz)),
-        Vec3(0.0 + g * (bx - zex), 0.0 + g * (by - zey), bz + g * (0.0 - zez)),
-    )
+    ex, ey, ez, bx, by, bz = _fields_at((*f.E, *f.B), b.beta)
+    return FieldState(Vec3(ex, ey, ez), Vec3(bx, by, bz))

@@ -26,7 +26,8 @@ captured, at COLUMNS=80. The corpus:
   float as cutoff, and a cutoff sweep whose ratio times grid_n overflows;
   and cutoff sweeps that hold nan, inf, 0 or a negative value;
 - file faults: a missing file, a directory, an empty or truncated file,
-  a BOM, and the malformed-file table of ``portable_checks``;
+  a BOM, and the malformed-file table of ``portable_checks``, each
+  through all four subcommands, since they all read their config alike;
 - the argv corpus of ``portable_checks``, its config paths pointing at
   real configs.
 
@@ -164,7 +165,7 @@ def _file_faults(corpus: _Corpus) -> None:
         },
     }
     for path in faults.values():
-        for command in ("transform", "expand-check"):
+        for command in ("transform", "expand-check", "velocity", "vacuum-sweep"):
             corpus.add("file faults", [command, path])
 
 

@@ -429,9 +429,17 @@ def _golden_config_text(*edits) -> str:
 
 _HUGE_INT = "1" + "0" * 400
 
+# the lines of a file with a fault at line 2, column 19, whatever
+# ends its lines
+BROKEN_LINES = (b'{"material": {', b'  "epsilon": 2.25,,', b"}}")
+_AT_2_19 = ":2:19: Expecting property name enclosed in double quotes"
+
 # files that do not decode into a config, each with a piece of the
 # message that must follow "config error: <path>"
 MALFORMED_FILES = {
+    # read with text mode's universal newlines, as CRLF and lone CR
+    "crlf": (b"\r\n".join(BROKEN_LINES), _AT_2_19),
+    "lone-cr": (b"\r".join(BROKEN_LINES), _AT_2_19),
     "invalid-utf-8": (b"\xff" + _golden_config_text().encode(), "can't decode byte 0xff"),
     "utf-16": (_golden_config_text().encode("utf-16"), "can't decode byte"),
     "deep-nesting": (b"[" * 100_000, "maximum recursion depth"),

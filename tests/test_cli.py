@@ -26,6 +26,7 @@ from vacmom.config import config_to_dict, load_config
 
 from conftest import src_env
 from portable_checks import (
+    BROKEN_LINES,
     CROSSED_FIELDS,
     FIXED_RUNS,
     GOLDEN_MATERIAL,
@@ -94,11 +95,28 @@ def test_wrong_chi_length_names_the_field(tmp_path, capsys):
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text('{"material": {\n  "epsilon": 2.25,,\n}}')
-    rc, out, err = run_cli(capsys, ["transform", str(path)])
-    assert rc == 2
-    assert ":2:" in err
+    # a lone CR must end a line as in text mode: decoded as it is, that
+    # file is one line and the fault would be reported at 1:34
+    for name, newline in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        path = tmp_path / f"broken-{name}.json"
+        path.write_bytes(newline.join(BROKEN_LINES))
+        rc, out, err = run_cli(capsys, ["transform", str(path)])
+        assert rc == 2, name
+        assert f"{path}:2:19:" in err, name
+
+
+@pytest.mark.parametrize("command", ["transform", "expand-check", "velocity"])
+def test_lone_cr_config_prints_the_bytes_of_its_lf_twin(tmp_path, capsys, command):
+    text = json.dumps(
+        {"material": GOLDEN_MATERIAL, "boost": {"beta": 0.1}, "fields": CROSSED_FIELDS},
+        indent=2,
+    ).encode()
+    lf, cr = tmp_path / "lf.json", tmp_path / "cr.json"
+    lf.write_bytes(text)
+    cr.write_bytes(text.replace(b"\n", b"\r"))
+    want = run_cli(capsys, [command, str(lf)])
+    assert want[0] == 0
+    assert run_cli(capsys, [command, str(cr)]) == want
 
 
 def test_nonpositive_epsilon_rejected(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, transpose
+from test_relativity import _vector_form
 from vacmom import (
     ZHAT,
     BoostSpec,
@@ -260,6 +261,16 @@ def _first_order_reference(m, f, beta):
     return zeroth, mixing, mu_correction, zeroth + mixing + mu_correction
 
 
+def _exact_reference(m, f, beta):
+    """(1/mu') B' . chi^T E' from the tests' own arithmetic, at beta != 0:
+    mu' = sqrt(mu/eps) ((n + beta) / (1 + n beta)) and the Vec3 boost of
+    test_relativity, none of it through relativity's per-beta parts."""
+    n = m.index
+    mu_prime = math.sqrt(m.mu / m.epsilon) * ((n + beta) / (1.0 + n * beta))
+    fp = _vector_form(f, beta, "exact")
+    return (1.0 / mu_prime) * dot(fp.B, mat_t_apply(m.chi, fp.E))
+
+
 def _verify_expansion_reference(m, f, grid):
     """verify_expansion on a valid grid as a loop that forms both
     densities afresh at each beta: the rate from the first beta, then
@@ -267,15 +278,13 @@ def _verify_expansion_reference(m, f, grid):
     try:
         residuals = []
         for beta in grid:
-            exact = me_density_exact(m, f, BoostSpec(beta))
+            exact = _exact_reference(m, f, beta)
             _, mixing, mu_correction, total = _first_order_reference(m, f, beta)
             if not residuals:
                 rate = (mixing + mu_correction) / beta
             residuals.append(abs(exact - total))
         h = min(1e-6, 0.5 / m.index)
-        fd = (
-            me_density_exact(m, f, BoostSpec(h)) - me_density_exact(m, f, BoostSpec(-h))
-        ) / (2.0 * h)
+        fd = (_exact_reference(m, f, h) - _exact_reference(m, f, -h)) / (2.0 * h)
     except (ValueError, ZeroDivisionError):
         raise NonFiniteResult(lagrangian._out_of_range(m, f)) from None
     delta = abs(fd - rate)
@@ -351,6 +360,9 @@ def test_verify_expansion_is_the_per_beta_loop_bit_for_bit():
         for beta in grid:
             assert _outcome(me_density_first_order, m, f, BoostSpec(beta)) == _outcome(
                 _first_order_reference, m, f, beta
+            )
+            assert _outcome(me_density_exact, m, f, BoostSpec(beta)) == _outcome(
+                _exact_reference, m, f, beta
             )
         kinds.add(got[0] if got[0] == "raised" else ("report", got[1][-1]))
     # every kind of outcome came up: a fitted report, an identically
