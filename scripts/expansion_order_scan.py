@@ -11,14 +11,7 @@ configuration plus a summary of the worst slope and derivative mismatch.
 import argparse
 import random
 
-from vacmom import (
-    BoostSpec,
-    FieldState,
-    Mat3,
-    Material,
-    Vec3,
-    verify_expansion,
-)
+from vacmom import FieldState, Mat3, Material, Vec3, verify_expansion
 
 BETA_GRID = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 

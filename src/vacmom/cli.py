@@ -34,7 +34,7 @@ import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 
-from .algebra import BoostSpec, FieldState, Material
+from .algebra import BoostSpec, FieldState, Material, _check_grid_n
 from .config import RunConfig, _positive, config_to_dict, load_config
 from .errors import (
     ConfigError,
@@ -48,7 +48,6 @@ from .momentum import medium_velocity, term_ratio_of, velocity_from_bilinears
 from .relativity import index_of, transform_constants
 from .vacuum import (
     MAGNITUDE_CHANNELS,
-    _check_grid_n,
     build_mode_set,
     cutoff_sweep,
     scaling_slopes,
@@ -228,7 +227,11 @@ def cmd_expand_check(cfg: RunConfig, args) -> int:
         raise ConfigError("expand-check requires a fields section")
     _warn_longitudinal(cfg.fields)
     grid = DEFAULT_BETA_GRID if cfg.sweep is None else cfg.sweep.values
-    report = verify_expansion(cfg.material, cfg.fields, grid)
+    try:
+        report = verify_expansion(cfg.material, cfg.fields, grid)
+    except DegenerateGrid as exc:
+        # the default grid is valid, so the sweep is at fault
+        raise ConfigError(f"sweep.values: {exc}") from exc
     rows = [
         (
             ("beta", beta),
@@ -522,7 +525,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ConfigError, DegenerateGrid, NonFiniteResult) as exc:
+    except (ConfigError, NonFiniteResult) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DegenerateBoost as exc:

@@ -15,9 +15,8 @@ import math
 from collections import namedtuple
 from numbers import Real
 
-from .algebra import BoostSpec, FieldState, Mat3, Material, Vec3
+from .algebra import BoostSpec, FieldState, Mat3, Material, Vec3, _check_grid_n
 from .errors import ConfigError
-from .vacuum import _check_grid_n
 
 _SWEEP_PARAMETERS = ("beta", "cutoff", "grid_n")
 

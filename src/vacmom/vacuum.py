@@ -3,6 +3,8 @@
 Wavevectors live on a cell-centered Cartesian grid: grid_n cells per
 axis tile [-cutoff, cutoff], each cell contributing its center, and the
 result is filtered to the sharp sphere |k| <= cutoff with k = 0 excluded.
+grid_n is an int in [2, MAX_GRID_N]: that rule, and why the ceiling is
+128, is in algebra, where the config reads it without this module.
 Cell centers come in exact +/-k floating point pairs, and each pair
 stands for four modes. The reflections ky -> -ky and kz -> -kz map the
 pairs onto each other in orbits of four, and a ModeSet keeps one entry
@@ -70,19 +72,9 @@ from dataclasses import dataclass
 from itertools import chain, product
 from struct import Struct
 
-from .algebra import ZERO3, Material, Vec3, fit_loglog_slope
+from .algebra import MAX_GRID_N, ZERO3, Material, Vec3, _check_grid_n, fit_loglog_slope
 from .constants import C_LIGHT, HBAR
 from .errors import EmptyModeSet, NonFiniteResult
-
-# The largest grid_n any vacuum command builds. A grid holds about
-# (pi/12) grid_n^3 +/-k pairs in a quarter as many orbits. grid_n 96,
-# the finest grid of the convergence study, gives 231,700 pairs in
-# 57,925 orbits, built and summed with every channel in 0.35-0.45 s at
-# a peak RSS of 40 MB on a 2-vCPU Xeon; grid_n 128 gives about 550,000
-# pairs.
-# Larger requests, such as a cutoff sweep whose scaled grid outgrows
-# this, are rejected before any grid is built.
-MAX_GRID_N = 128
 
 MAGNITUDE_CHANNELS = (
     "abs_e_cross_b",
@@ -132,17 +124,6 @@ class BilinearSums:
     abs_b_dot_chiT_e: float | None
     mode_count: int
     zero_point_energy: float | None
-
-
-def _check_grid_n(grid_n, read=None) -> None:
-    """Raise ValueError unless grid_n is an int in [2, MAX_GRID_N]; the
-    message shows read, the value as the caller read it, if given."""
-    # type(), since a bool is an int to isinstance
-    if type(grid_n) is not int or not 2 <= grid_n <= MAX_GRID_N:
-        raise ValueError(
-            f"grid_n must be an integer in [2, MAX_GRID_N={MAX_GRID_N}],"
-            f" got {grid_n if read is None else read!r}"
-        )
 
 
 def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> ModeSet:

@@ -531,10 +531,15 @@ def _beta(rng: random.Random) -> float:
     return rng.choice((1.0, -1.0)) * 10.0 ** -rng.uniform(0.0, rng.choice((12.0, 300.0)))
 
 
-def _beta_grid(rng: random.Random) -> list[float]:
-    """3 or 4 ascending betas in (1e-7, 0.1] or (1e-301, 0.1]."""
+def _beta_grid(rng: random.Random) -> tuple[list[float], bool]:
+    """3 or 4 ascending betas in (1e-7, 0.1] or (1e-301, 0.1], and whether
+    the grid breaks a rule of verify_expansion instead, as in about one
+    draw of four: two points, a descending grid or a last value past 0.1."""
     exponents = sorted(rng.sample(range(rng.choice((-6, -300)), 0), rng.randint(3, 4)))
-    return [10.0 ** (e - rng.random()) for e in exponents]
+    grid = [10.0 ** (e - rng.random()) for e in exponents]
+    if rng.randrange(4) < 3:
+        return grid, False
+    return rng.choice((grid[:2], grid[::-1], [*grid[:-1], 0.2])), True
 
 
 def _vacuum_sweep(rng: random.Random, cutoff: float) -> tuple[dict, bool]:
@@ -569,11 +574,12 @@ def random_run(rng: random.Random) -> tuple[str, dict | str, list[str], bool]:
     order. rejected says that the config must be rejected with exit 2.
 
     Every subcommand is drawn: transform with a boost, a beta sweep or
-    both, expand-check with the default or a drawn beta grid, velocity
-    classical or vacuum, and vacuum-sweep over cutoff or grid_n, in
-    about one of four with a value from rejected_cutoffs or
-    REJECTED_GRID_NS. Numbers come from _NUMBERS and from powers of ten
-    out to 1e+-300, and vacuum cutoffs up to the largest float. Options
+    both, expand-check with the default or a drawn beta grid, in about
+    one of four a grid verify_expansion rejects, velocity classical or
+    vacuum, and vacuum-sweep over cutoff or grid_n, in about one of four
+    with a value from rejected_cutoffs or REJECTED_GRID_NS. Numbers come
+    from _NUMBERS and from powers of ten out to 1e+-300, and vacuum
+    cutoffs up to the largest float. Options
     --beta and --cutoff (written by repr, so negative exponents come up)
     may override the swept parameter. On top of that, each in about one
     draw of ten: an option value "--" (--beta=--), -h, --help or the
@@ -610,7 +616,8 @@ def random_run(rng: random.Random) -> tuple[str, dict | str, list[str], bool]:
     elif command == "expand-check" or (command == "velocity" and rng.randrange(2)):
         cfg["fields"] = {"E": [number() for _ in range(3)], "B": [number() for _ in range(3)]}
         if command == "expand-check" and rng.randrange(2):
-            cfg["sweep"] = {"parameter": "beta", "values": _beta_grid(rng)}
+            values, rejected = _beta_grid(rng)
+            cfg["sweep"] = {"parameter": "beta", "values": values}
     else:
         if wild and rng.randrange(5) == 4:
             cutoff = rng.uniform(1e300, sys.float_info.max)

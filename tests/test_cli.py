@@ -284,6 +284,28 @@ def test_expand_check_failure_exit_code(tmp_path, capsys):
     assert slope > 2.1
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1e-3, 2e-3], "need at least 3 grid points, got 2"),
+        ([1e-3, 3e-3, 2e-3], "grid must be strictly increasing"),
+        ([1e-3, 2e-3, 0.2], "grid values must lie in (0, 0.1], got 0.2"),
+    ],
+    ids=["too-few", "unsorted", "out-of-range"],
+)
+def test_expand_check_names_the_sweep_it_rejects(tmp_path, capsys, values, message):
+    path = write_config(
+        tmp_path,
+        {
+            "material": GOLDEN_MATERIAL,
+            "fields": CROSSED_FIELDS,
+            "sweep": {"parameter": "beta", "values": values},
+        },
+    )
+    rc, out, err = run_cli(capsys, ["expand-check", path])
+    assert (rc, out, err) == (2, "", f"config error: sweep.values: {message}\n")
+
+
 def test_velocity_classical_golden(tmp_path, capsys):
     path = write_config(
         tmp_path, {"material": GOLDEN_MATERIAL, "fields": CROSSED_FIELDS}

@@ -1,12 +1,19 @@
-"""Every public name, method and property has a user outside the tests."""
+"""Every public name, method and property has a user outside the tests,
+and the package resolves each one from its module on first use."""
 
 import ast
+import importlib
 import inspect
 import re
+import subprocess
+import sys
+import textwrap
+
+import pytest
 
 import vacmom
 
-from conftest import ROOT
+from conftest import ROOT, src_env
 
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
@@ -68,7 +75,10 @@ def test_every_public_method_and_property_is_used_or_documented():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    classes = [obj for obj in map(vars(vacmom).get, vacmom.__all__) if inspect.isclass(obj)]
+    # getattr, since vars(vacmom) holds only the names read so far
+    classes = [
+        obj for name in vacmom.__all__ if inspect.isclass(obj := getattr(vacmom, name))
+    ]
     members = {f"{cls.__name__}.{name}": name for cls in classes for name in _public_members(cls)}
     # the rule must see the methods and properties there are
     assert {"Vec3.scale", "Material.index", "ModeSet.mode_count"} <= set(members)
@@ -78,3 +88,40 @@ def test_every_public_method_and_property_is_used_or_documented():
         if name not in read and not re.search(rf"\.{re.escape(name)}\b", README)
     ]
     assert unused == []
+
+
+def test_export_table_resolves_every_name_to_its_module():
+    for module, names in vacmom._EXPORTS.items():
+        home = importlib.import_module(f"vacmom.{module}")
+        for name in names.split():
+            obj = getattr(vacmom, name)
+            assert obj is getattr(home, name)
+            # a class or function is exported from where it is defined
+            assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+    assert vacmom.__all__ == sorted(set(vacmom.__all__))
+    assert set(vacmom.__all__) <= set(dir(vacmom))
+    star = {}
+    exec("from vacmom import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == vacmom.__all__
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        vacmom.no_such_name
+    # submodules still import by name, as the benchmark and portable checks do
+    from vacmom import cli, vacuum
+
+    assert (cli.__name__, vacuum.__name__) == ("vacmom.cli", "vacmom.vacuum")
+
+
+def test_importing_the_package_loads_only_the_layers_used():
+    code = textwrap.dedent(
+        """
+        import sys
+        import vacmom
+        print(sorted(m for m in sys.modules if m.startswith("vacmom.")))
+        from vacmom import transform_constants, verify_expansion, medium_velocity, load_config
+        print(sorted({"vacmom.vacuum", "vacmom.cli", "dataclasses"} & set(sys.modules)))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60
+    )
+    assert result.stdout.splitlines() == ["[]", "[]"], result.stderr
