@@ -35,7 +35,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 
 from .algebra import BoostSpec, FieldState, Material, _check_grid_n
-from .config import RunConfig, _positive, config_to_dict, load_config
+from .config import _SCHEMA, RunConfig, _positive, load_config
 from .errors import (
     ConfigError,
     DegenerateBoost,
@@ -72,77 +72,85 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-_CONTAINERS = (list, tuple, dict)
+# json.JSONEncoder's C encoder for indent=None (markers, default,
+# encoder, indent, key and item separators, sort_keys, skipkeys,
+# allow_nan), with "\n" between a list's items: no encoded scalar holds
+# a raw line break, since encode_basestring_ascii escapes them all
+_ENCODE_LEAVES = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", "\n",
+    False, False, True,
+)
 
 
-@functools.cache
-def _encoder(depth: int):
-    """The C encoder of a container of scalars at this depth.
-
-    Built with the arguments json.JSONEncoder.iterencode passes for
-    indent=None. A call returns the text as a sequence of chunks.
-    """
-    return c_make_encoder(
-        None,  # markers: no circular-reference check
-        json.JSONEncoder().default,
-        encode_basestring_ascii,
-        None,  # indent
-        ": ",  # key separator
-        ",\n" + "  " * (depth + 1),  # item separator
-        False,  # sort_keys
-        False,  # skipkeys
-        True,  # allow_nan
-    )
-
-
-def _json(value, depth: int = 0) -> str:
-    """json.dumps(value, indent=2), byte for byte, for str-keyed dicts.
-
-    json.dumps indents with its pure-Python encoder; here Python lays
-    out only the containers of containers, and the C encoder the rest.
-    """
-    encode = _encoder(depth)
-    if not isinstance(value, _CONTAINERS) or not value:
-        return "".join(encode(value, 0))
+def _block(items: list, depth: int, brackets: str) -> str:
+    """The json.dumps(indent=2) layout of a container of laid-out items."""
+    if not items:
+        return brackets
     inner = "\n" + "  " * (depth + 1)
-    children = value.values() if isinstance(value, dict) else value
-    for child in children:
-        if isinstance(child, _CONTAINERS):
-            break
-    else:
-        # the C encoder writes no line break after "[" and before "]"
-        text = "".join(encode(value, 0))
-        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
-    items = [
-        _json(v, depth + 1) if isinstance(v, _CONTAINERS) else "".join(encode(v, 0))
-        for v in children
+    return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+
+
+def _key(name: str) -> str:
+    return encode_basestring_ascii(name).replace("%", "%%") + ": "
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(shape: tuple, header: tuple, row_count: int) -> str:
+    """The %s template json.dumps(indent=2) fills for one payload shape.
+
+    shape holds, per config section present, its name and, per key, the
+    length of its list or None for a scalar.
+    """
+    config = []
+    for name, lengths in shape:
+        keys = zip(_SCHEMA[name][1], lengths)
+        items = [_key(k) + ("%s" if n is None else _block(["%s"] * n, 3, "[]")) for k, n in keys]
+        config.append(_key(name) + _block(items, 2, "{}"))
+    row = _block([_key(column) + "%s" for column in header], 3, "{}")
+    result = [
+        _key("columns") + _block(["%s"] * len(header), 2, "[]"),
+        _key("rows") + _block([row] * row_count, 2, "[]"),
     ]
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {item}" for k, item in zip(value, items)]
-        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
-    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+    top = [_key("command") + "%s", _key("config") + _block(config, 1, "{}")]
+    return _block([*top, _key("result") + _block(result, 1, "{}")], 0, "{}") + "\n"
 
 
 def _emit(cfg: RunConfig, args, rows) -> None:
-    """Write rows of (column, value) pairs; the first row names the columns.
+    """Write rows of (column, value) pairs; the first row names the
+    columns, and every row has them in that order.
 
-    The output is built whole and written once. No CSV cell needs
-    quoting: each is a number, nan, true, false, a column name or a
-    sweep parameter, none of which holds a comma, a quote or a line
+    The output is built whole and written once. JSON is
+    json.dumps(indent=2) of {"command", "config", "result": {"columns",
+    "rows"}}, byte for byte: the C encoder writes every scalar in one
+    pass and a template cached per shape lays them out. No CSV cell
+    needs quoting: each is a number, nan, true, false, a column name or
+    a sweep parameter, none of which holds a comma, a quote or a line
     break.
     """
     header = [column for column, _ in rows[0]]
     if args.format == "json":
-        payload = {
-            "command": args.command,
-            "config": config_to_dict(cfg),
-            "result": {
-                "columns": header,
-                # nan, the one value unequal to itself, is written as null
-                "rows": [{c: None if v != v else v for c, v in row} for row in rows],
-            },
-        }
-        sys.stdout.write(_json(payload) + "\n")
+        leaves = [args.command]
+        shape = []
+        # RunConfig's fields are the schema's sections and each
+        # section record's fields its keys, in schema order
+        for name, spec in zip(_SCHEMA, cfg):
+            if spec is not None:
+                lengths = []
+                for value in spec:
+                    if isinstance(value, tuple):
+                        leaves += value
+                        lengths.append(len(value))
+                    else:
+                        leaves.append(value)
+                        lengths.append(None)
+                shape.append((name, tuple(lengths)))
+        leaves += header
+        for row in rows:
+            # nan, the one value unequal to itself, is written as null
+            leaves += [None if v != v else v for _, v in row]
+        text = "".join(_ENCODE_LEAVES(leaves, 0))
+        layout = _layout(tuple(shape), tuple(header), len(rows))
+        sys.stdout.write(layout % tuple(text[1:-1].split("\n")))
     else:
         lines = [",".join(header)]
         for row in rows:
@@ -225,13 +233,13 @@ def cmd_transform(cfg: RunConfig, args) -> int:
 def cmd_expand_check(cfg: RunConfig, args) -> int:
     if cfg.fields is None:
         raise ConfigError("expand-check requires a fields section")
-    _warn_longitudinal(cfg.fields)
     grid = DEFAULT_BETA_GRID if cfg.sweep is None else cfg.sweep.values
     try:
         report = verify_expansion(cfg.material, cfg.fields, grid)
     except DegenerateGrid as exc:
         # the default grid is valid, so the sweep is at fault
         raise ConfigError(f"sweep.values: {exc}") from exc
+    _warn_longitudinal(cfg.fields)
     rows = [
         (
             ("beta", beta),

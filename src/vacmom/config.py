@@ -102,7 +102,9 @@ def _sweep_values(value, path) -> tuple[float, ...]:
 # section -> (constructor, {key: parser of its value}). The section
 # names are the fields of RunConfig, and material, listed first, is the
 # only required section. Every key of a section is required, and the
-# parsed values reach the constructor in this order.
+# parsed values reach the constructor in this order; the record it
+# builds holds them as its fields in the same order, which the CLI's
+# JSON output reads.
 _SCHEMA = {
     "material": (
         lambda epsilon, mu, chi, rho0: Material(epsilon, mu, Mat3(*chi), rho0),
@@ -188,20 +190,3 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(data, label=path)
 
-
-def _plain(value):
-    # chi (row-major), the field vectors and sweep values as flat lists
-    return list(value) if isinstance(value, tuple) else value
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Re-serialize a RunConfig into the schema it was parsed from.
-
-    Floats pass through untouched, so emitting this dict as JSON and
-    re-parsing reproduces the configuration bit for bit.
-    """
-    return {
-        name: {key: _plain(getattr(spec, key)) for key in keys}
-        for name, (_, keys) in _SCHEMA.items()
-        if (spec := getattr(cfg, name)) is not None
-    }

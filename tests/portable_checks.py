@@ -1,7 +1,8 @@
 """Stdlib-only checks of the CLI against the standard library and an oracle.
 
-The CLI reads its argv without argparse, lays out JSON with CPython's C
-encoder and joins CSV lines itself. Each of these copies behaviour of
+The CLI reads its argv without argparse, writes JSON's scalars in one
+pass of CPython's C encoder into an indent=2 layout of its own, and
+joins CSV lines itself. Each of these copies behaviour of
 the standard library that a Python release could change, so this
 script checks them against the standard library of the interpreter
 that runs it:
@@ -15,7 +16,11 @@ that runs it:
   the reader does not holds an abbreviated option, "--" or a config
   path that starts with "-"; help is printed, with exit 0, if and only
   if -h or --help is a token; and no argv raises;
-- ``cli._json`` against ``json.dumps(indent=2)``;
+- the JSON that ``cli._emit`` writes against ``json.dumps(indent=2)``,
+  in one write, for seeded payloads: every set of config sections,
+  lists of every length, and every kind of scalar (nan, signed zero,
+  subnormal, huge and infinite floats, ints past 2**64, bools, None,
+  strings with escapes, non-ASCII text and "%"), in keys too;
 - the CSV that ``cli._emit`` writes against ``csv.writer``;
 - the malformed-file table, run through ``cli.main``;
 - random CLI runs against ``check_run``, the oracle of a whole run:
@@ -23,7 +28,7 @@ that runs it:
   of random configs, which the CLI fuzz test (through hypothesis) and
   ``tests/parent_diff.py`` also call. A run gives help, a usage error, a
   documented exit code with a message or finite output, and never a
-  traceback.
+  traceback; its JSON stdout is ``json.dumps(indent=2)`` of itself.
 
 It needs nothing beyond the standard library, so it runs on any Python
 >= 3.10, with or without pytest, from the repository root:
@@ -51,7 +56,8 @@ import tempfile
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from vacmom import MAX_GRID_N, cli  # noqa: E402
+from vacmom import MAX_GRID_N, BoostSpec, FieldState, Material, cli  # noqa: E402
+from vacmom.config import _SCHEMA, RunConfig, SweepSpec, VacuumSpec, parse_config  # noqa: E402
 
 SUBCOMMANDS = tuple(cli._SUBCOMMANDS)
 
@@ -279,9 +285,10 @@ def check_parse(seed: int, count: int) -> tuple[str, list[str]]:
 
 _SPECIAL_FLOATS = (
     0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-    2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 1e16,
+    2.2250738585072014e-308, 1e-300, 1e300, 1e308, -1e308, 1.7976931348623157e308,
+    0.1, 1e16,
 )
-_CHARS = 'aZ0 é"\\/\n\t\x00\x1f\x7f \ud800\U0001f600'
+_CHARS = 'aZ0s% é€"\\/\n\t\x00\x1f\x7f \ud800\U0001f600'
 
 
 def _string(rng: random.Random) -> str:
@@ -313,31 +320,6 @@ def _scalar(rng: random.Random):
     if kind == 2:
         return _float(rng)
     return _string(rng)
-
-
-def _json_value(rng: random.Random, depth: int):
-    """A list or dict nested up to `depth` deep, empty ones included."""
-    children = []
-    for _ in range(rng.randrange(4)):
-        nested = depth > 1 and rng.random() < 0.5
-        children.append(_json_value(rng, depth - 1) if nested else _scalar(rng))
-    if rng.random() < 0.5:
-        return children
-    return {_string(rng): child for child in children}
-
-
-# checked before the random values: escapes, empty and nested containers
-_JSON_EXAMPLE = {"a\u00e9\n\x00": [[], {}, [[{"b": -0.0}]]], "": [math.nan, 5e-324, -1e308]}
-
-
-def check_json(seed: int, count: int) -> tuple[str, list[str]]:
-    rng = random.Random(f"json/{seed}")
-    failures = []
-    values = [_JSON_EXAMPLE, *(_json_value(rng, 1 + i % 6) for i in range(count - 1))]
-    for value in values:
-        if cli._json(value) != json.dumps(value, indent=2):
-            failures.append(f"{value!r}")
-    return f"{count} values", failures
 
 
 # the CSV header of each subcommand, as test_acceptance pins it
@@ -410,6 +392,117 @@ GOLDEN_MATERIAL = {
     "rho0": 1.0,
 }
 CROSSED_FIELDS = {"E": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]}
+
+
+# each config section's record, built below with tuple.__new__ so that
+# it holds any scalar, and the keys that hold a list
+_SECTION_RECORDS = {
+    "material": Material,
+    "boost": BoostSpec,
+    "fields": FieldState,
+    "vacuum": VacuumSpec,
+    "sweep": SweepSpec,
+}
+_LIST_KEYS = ("chi", "E", "B", "values")
+
+
+def _payload(command: str, cfg: RunConfig, rows) -> dict:
+    """What cli._emit writes as JSON, as a dict json.dumps lays out."""
+    return {
+        "command": command,
+        "config": {
+            name: {key: _plain(getattr(spec, key)) for key in keys}
+            for name, (_, keys) in _SCHEMA.items()
+            if (spec := getattr(cfg, name)) is not None
+        },
+        "result": {
+            "columns": [column for column, _ in rows[0]],
+            "rows": [{c: None if v != v else v for c, v in row} for row in rows],
+        },
+    }
+
+
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _emit_input(rng: random.Random) -> tuple[str, RunConfig, list]:
+    """A command, a config of any set of sections, each list of any
+    length and each value any scalar, and 1 to 4 rows of any scalars
+    under 0 to 16 distinct columns."""
+    sections = [
+        tuple.__new__(
+            _SECTION_RECORDS[name],
+            [
+                tuple(_scalar(rng) for _ in range(rng.randrange(11)))
+                if key in _LIST_KEYS
+                else _scalar(rng)
+                for key in keys
+            ],
+        )
+        if rng.random() < 0.5
+        else None
+        for name, (_, keys) in _SCHEMA.items()
+    ]
+    columns = dict.fromkeys(
+        rng.choice(_COLUMNS) if rng.random() < 0.5 else _string(rng)
+        for _ in range(rng.randrange(17))
+    )
+    rows = [[(c, _scalar(rng)) for c in columns] for _ in range(1 + rng.randrange(4))]
+    command = rng.choice(SUBCOMMANDS) if rng.random() < 0.5 else _string(rng)
+    return command, RunConfig(*sections), rows
+
+
+# checked before the random inputs: every section, a row of every kind
+# of scalar and columns that need escaping
+_EMIT_EXAMPLE = (
+    "transform",
+    parse_config(
+        {
+            "material": GOLDEN_MATERIAL,
+            "boost": {"beta": -0.0},
+            "fields": CROSSED_FIELDS,
+            "vacuum": {"grid_n": 4, "cutoff": 5e-324, "volume": 1e308},
+            "sweep": {"parameter": "beta", "values": [0.1, math.inf, -1e308]},
+        }
+    ),
+    [
+        [
+            ("beta", math.nan),
+            ("a\u00e9\n\x00", -0.0),
+            ("%s %% %(x)s", 5e-324),
+            ('"\\', math.inf),
+            ("\ud800\U0001f600", 2**64 + 1),
+            ("mode_count", -(2**70)),
+            ("slope", True),
+            ("identically_zero", False),
+            ("term_ratio", None),
+            ("sweep_parameter", 'a"\\\n\t\x1f\x7f \u00e9\u20ac %s %'),
+        ]
+    ]
+    * 2,
+)
+
+
+def check_json(seed: int, count: int) -> tuple[str, list[str]]:
+    """cli._emit's JSON against json.dumps(indent=2), in one write."""
+    rng = random.Random(f"json/{seed}")
+    failures = []
+    inputs = [_EMIT_EXAMPLE, *(_emit_input(rng) for _ in range(count - 1))]
+    for command, cfg, rows in inputs:
+        writes = _Writes()
+        with contextlib.redirect_stdout(writes):
+            cli._emit(cfg, argparse.Namespace(format="json", command=command), rows)
+        expected = json.dumps(_payload(command, cfg, rows), indent=2) + "\n"
+        if writes != [expected]:
+            failures.append(f"{command!r}, {cfg!r}, {rows!r}")
+    return f"{count} payloads", failures
+
+
+class _Writes(list):
+    """A stdout that keeps each write."""
+
+    write = list.append
 
 
 def _golden_config_text(*edits) -> str:
@@ -753,7 +846,8 @@ def check_run(run, path: str) -> tuple[object, str | None]:
     is a usage error. Any other run exits 0, 2, 3, 4 or 5, and 2 if it
     is rejected, with "duplicate key" on stderr for a repeated section;
     a nonzero exit writes a message to stderr. Every number of an exit
-    0 is finite but an unfitted slope, a magnitude slope and term_ratio.
+    0 is finite but an unfitted slope, a magnitude slope and term_ratio,
+    and its JSON stdout is json.dumps(indent=2) of what it decodes to.
     """
     command, cfg, flags, rejected = run
     with open(path, "w", encoding="utf-8") as fh:
@@ -775,7 +869,10 @@ def check_run(run, path: str) -> tuple[object, str | None]:
     if code != 0:
         return code, None if err else f"exit {code} with an empty stderr"
     if out.startswith("{"):
-        rows = json.loads(out)["result"]["rows"]
+        payload = json.loads(out)
+        if out != json.dumps(payload, indent=2) + "\n":
+            return code, "JSON stdout not laid out as json.dumps(indent=2)"
+        rows = payload["result"]["rows"]
     else:
         rows = list(csv.DictReader(io.StringIO(out)))
     for row in rows:

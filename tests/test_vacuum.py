@@ -1,6 +1,8 @@
 """Zero-point mode construction, vacuum bilinear sums, cutoff scaling."""
 
+import dataclasses
 import math
+import random
 import sys
 
 import pytest
@@ -531,3 +533,52 @@ def test_density_is_volume_intensive():
     b = vacuum_bilinears(build_mode_set(M_EMPTY, 15, CUTOFF, 2.0), M_EMPTY)
     rel = abs(b.abs_e_cross_b - a.abs_e_cross_b) / a.abs_e_cross_b
     assert rel <= 0.05
+
+
+def _scaling_draw(rng):
+    """A medium, cutoff and volume whose sums stay far from subnormals
+    and overflow, and stay there when cutoff or volume is doubled."""
+    chi = Mat3(*(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-6, 0) for _ in range(9)))
+    m = Material(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1), chi, 1.0)
+    return m, 10.0 ** rng.uniform(-3, 8), 10.0 ** rng.uniform(-3, 3)
+
+
+def _channels(sums) -> dict:
+    """Every channel by name; compared by repr, which tells -0.0 from 0.0."""
+    return {
+        f.name: getattr(sums, f.name)
+        for f in dataclasses.fields(sums)
+        if f.name != "mode_count"
+    }
+
+
+def _times(value, factor):
+    if isinstance(value, Vec3):
+        return Vec3(*(factor * x for x in value))
+    return factor * value
+
+
+@pytest.mark.parametrize("grid_n", [6, 9])
+@pytest.mark.parametrize("seed", range(6))
+def test_doubling_the_cutoff_doubles_every_channel_bitwise(seed, grid_n):
+    # the grid, |k| and so every amplitude double exactly; the cutoff
+    # filter keeps the same cells
+    m, cutoff, volume = _scaling_draw(random.Random(f"cutoff-doubling/{seed}"))
+    a = vacuum_bilinears(build_mode_set(m, grid_n, cutoff, volume), m)
+    b = vacuum_bilinears(build_mode_set(m, grid_n, 2.0 * cutoff, volume), m)
+    assert b.mode_count == a.mode_count
+    want = {name: _times(value, 2.0) for name, value in _channels(a).items()}
+    assert repr(_channels(b)) == repr(want)
+
+
+@pytest.mark.parametrize("grid_n", [6, 9])
+@pytest.mark.parametrize("seed", range(6))
+def test_doubling_the_volume_halves_every_channel_but_the_energy_bitwise(seed, grid_n):
+    # a^2 = 2 pi hbar omega / V; the zero-point energy has no volume
+    m, cutoff, volume = _scaling_draw(random.Random(f"volume-doubling/{seed}"))
+    a = vacuum_bilinears(build_mode_set(m, grid_n, cutoff, volume), m)
+    b = vacuum_bilinears(build_mode_set(m, grid_n, cutoff, 2.0 * volume), m)
+    assert b.mode_count == a.mode_count
+    want = {name: _times(value, 0.5) for name, value in _channels(a).items()}
+    want["zero_point_energy"] = a.zero_point_energy
+    assert repr(_channels(b)) == repr(want)
