@@ -273,8 +273,9 @@ def cmd_velocity(cfg: RunConfig, args) -> int:
     else:
         if cfg.fields is None:
             raise ConfigError("velocity requires a fields or a vacuum section")
-        _warn_longitudinal(cfg.fields)
         vr = medium_velocity(m, cfg.fields)
+        # after the velocity, so a run it rejects prints only the error
+        _warn_longitudinal(cfg.fields)
     row = (
         *_xyz("v", vr.rhs_vector),
         ("transverse_residual", vr.transverse_residual),

@@ -5,6 +5,23 @@ axis tile [-cutoff, cutoff], each cell contributing its center, and the
 result is filtered to the sharp sphere |k| <= cutoff with k = 0 excluded.
 grid_n is an int in [2, MAX_GRID_N]: that rule, and why the ceiling is
 128, is in algebra, where the config reads it without this module.
+
+A ModeSet holds the cell centers in units of the step 2 cutoff / grid_n,
+as the exact multiples of 0.5 x = i + 0.5 - grid_n / 2, and the sums
+form each wavevector component as the one rounding x * step. Which
+centers pass the filter then depends on grid_n alone wherever x * step
+is a normal float. In exact arithmetic |x|^2 is an
+integer plus 0.75 on an even grid and an integer on an odd one, while
+(grid_n / 2)^2 is an integer or an integer plus 0.25, so no center
+lies closer to the sphere than a relative 1 / (8 (grid_n / 2)^2),
+at least 3e-5, far beyond the few ulps by which x * step and hypot
+round. The filtered lattice is therefore built at step 1 and cutoff
+grid_n / 2 and kept: the last one built stays cached, so a process
+that sums one grid_n over and over builds it once and holds one
+lattice. Where half the step is subnormal, x * step loses bits, and
+the lattice is filtered at the actual step and cutoff instead, by the
+same test.
+
 Cell centers come in exact +/-k floating point pairs, and each pair
 stands for four modes. The reflections ky -> -ky and kz -> -kz map the
 pairs onto each other in orbits of four, and a ModeSet keeps one entry
@@ -67,8 +84,10 @@ A sum that leaves the float range raises NonFiniteResult.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
 from struct import Struct
 
@@ -84,16 +103,20 @@ MAGNITUDE_CHANNELS = (
 )
 
 
-class ModeSet(namedtuple("ModeSet", "orbits cutoff volume")):
-    """The wavevectors (kx, ky, kz) in rad/cm of a grid, grouped in orbits.
+class ModeSet(namedtuple("ModeSet", "orbits cutoff volume step")):
+    """The wavevectors of a grid in units of step rad/cm, grouped in orbits.
 
-    An entry (kx, ky, kz, count) of orbits stands for the first count of
-    the +/-k pairs (kx, ky, kz), (kx, ky, -kz), (kx, -ky, kz) and
-    (kx, -ky, -kz), and each pair for k and -k, two polarization modes
-    each. A ModeSet therefore counts four modes per pair. The sums
-    treat any entry with a count from 1 to 4 this way, whether or not
-    build_mode_set made it, and reject any other count.
-    orbits is a tuple of such entries.
+    An entry (x, y, z, count) of orbits stands for the first count of
+    the +/-k pairs (x, y, z), (x, y, -z), (x, -y, z) and (x, -y, -z),
+    each multiplied by step, and each pair for k and -k, two
+    polarization modes each. A ModeSet therefore counts four modes per
+    pair. The sums treat any entry with a count from 1 to 4 this way,
+    whether or not build_mode_set made it, and reject any other count.
+    orbits is a tuple of such entries. A set made by hand in rad/cm
+    passes step 1.0, and x * 1.0 is x. build_mode_set's entries are the
+    exact cell centers i + 0.5 - grid_n / 2, and at one grid_n every
+    set it builds with a normal step shares one orbits tuple, the cached
+    lattice of the module docstring.
     """
 
     __slots__ = ()
@@ -144,10 +167,25 @@ def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> Mo
     # unlike 2.0 * cutoff the quotient cannot overflow
     half = grid_n / 2.0
     step = cutoff / half
-    # cell centers; the +/- symmetry is exact because i + 0.5 - grid_n/2
-    # is an exact multiple of 0.5 and IEEE negation commutes with the
-    # final multiply
-    coords = [(i + 0.5 - half) * step for i in range(grid_n)]
+    # no nonzero |x * step| is below 0.5 * step: where that is normal,
+    # the margin of the module docstring makes the filter exact
+    if 0.5 * step >= sys.float_info.min:
+        orbits = _lattice(grid_n, 1.0, half)
+    else:
+        orbits = _lattice(grid_n, step, cutoff)
+    if not orbits:
+        raise EmptyModeSet(
+            f"no modes survive cutoff={cutoff!r} with grid_n={grid_n!r}"
+        )
+    return ModeSet(orbits, cutoff, volume, step)
+
+
+@lru_cache(maxsize=1)
+def _lattice(grid_n: int, s: float, cutoff: float) -> tuple:
+    """The orbit entries of the cell centers x with 0 < |x s| <= cutoff."""
+    # cell centers in units of the step, exact multiples of 0.5; the
+    # +/- symmetry is exact, and IEEE negation commutes with x * s
+    coords = [i + 0.5 - grid_n / 2.0 for i in range(grid_n)]
     # coords[grid_n - 1 - i] == -coords[i]; mid is the zero coordinate
     # of an odd grid, and flipping it gives the same pair again
     neg = coords[: grid_n // 2]
@@ -155,11 +193,11 @@ def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> Mo
     candidates = (
         # no coordinate zero: four pairs
         (4, product(neg, neg, neg)),
-        # ky zero, or kx zero, where the ky flip of a pair is the
-        # negation of its kz flip: two pairs, by the kz flip
+        # y zero, or x zero, where the y flip of a pair is the
+        # negation of its z flip: two pairs, by the z flip
         (2, chain(product(neg, mid, neg), product(mid, neg, neg))),
-        # kz zero, where only the ky flip gives a second pair: both
-        # signs of ky as entries of their own; and the three axes
+        # z zero, where only the y flip gives a second pair: both
+        # signs of y as entries of their own; and the three axes
         (
             1,
             chain(
@@ -171,17 +209,12 @@ def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> Mo
     )
     # hypot neither underflows nor overflows where k.k would, and it
     # takes |x| of each coordinate, so an orbit passes or fails as one
-    orbits = tuple(
-        (kx, ky, kz, count)
+    return tuple(
+        (x, y, z, count)
         for count, cells in candidates
-        for kx, ky, kz in cells
-        if 0.0 < math.hypot(kx, ky, kz) <= cutoff
+        for x, y, z in cells
+        if 0.0 < math.hypot(x * s, y * s, z * s) <= cutoff
     )
-    if not orbits:
-        raise EmptyModeSet(
-            f"no modes survive cutoff={cutoff!r} with grid_n={grid_n!r}"
-        )
-    return ModeSet(orbits, cutoff, volume)
 
 
 def vacuum_bilinears(
@@ -219,7 +252,9 @@ def vacuum_bilinears(
     # after the loop with hypot of the packed signed components
     pack, pack_magnitudes = Struct("24d").pack, Struct("12d").pack
     signed, unsigned = bytearray(), bytearray()
-    for kx, ky, kz, count in ms.orbits:
+    step = ms.step
+    for x, y, z, count in ms.orbits:
+        kx, ky, kz = x * step, y * step, z * step
         k = hypot(kx, ky, kz)
         ux, uy, uz = kx / k, ky / k, kz / k
         vy, vz = -uy, -uz
@@ -227,28 +262,30 @@ def vacuum_bilinears(
         # t = chi^T khat and s = chi khat at the members 1 to 4, whose
         # khat is (ux, uy, uz), (ux, uy, vz), (ux, vy, uz), (ux, vy, vz):
         # each component is p + q + r at member 1, the others negate r,
-        # q or both, and p + (-q) is bit for bit p - q
-        p, q, r = xx * ux, yx * uy, zx * uz
+        # q or both, and p + (-q) is bit for bit p - q; the diagonal
+        # products enter both t and s
+        dx, dy, dz = xx * ux, yy * uy, zz * uz
+        p, q, r = dx, yx * uy, zx * uz
         f, g = p + q, p - q
         t1x, t2x = f + r, f - r
         t3x, t4x = g + r, g - r
-        p, q, r = xy * ux, yy * uy, zy * uz
+        p, q, r = xy * ux, dy, zy * uz
         f, g = p + q, p - q
         t1y, t2y = f + r, f - r
         t3y, t4y = g + r, g - r
-        p, q, r = xz * ux, yz * uy, zz * uz
+        p, q, r = xz * ux, yz * uy, dz
         f, g = p + q, p - q
         t1z, t2z = f + r, f - r
         t3z, t4z = g + r, g - r
-        p, q, r = xx * ux, xy * uy, xz * uz
+        p, q, r = dx, xy * uy, xz * uz
         f, g = p + q, p - q
         s1x, s2x = f + r, f - r
         s3x, s4x = g + r, g - r
-        p, q, r = yx * ux, yy * uy, yz * uz
+        p, q, r = yx * ux, dy, yz * uz
         f, g = p + q, p - q
         s1y, s2y = f + r, f - r
         s3y, s4y = g + r, g - r
-        p, q, r = zx * ux, zy * uy, zz * uz
+        p, q, r = zx * ux, zy * uy, dz
         f, g = p + q, p - q
         s1z, s2z = f + r, f - r
         s3z, s4z = g + r, g - r
@@ -293,7 +330,7 @@ def vacuum_bilinears(
             )
         if count != 4:
             if not 0 < count < 4:
-                raise ValueError(f"orbit count must be 1 to 4, got {(kx, ky, kz, count)!r}")
+                raise ValueError(f"orbit count must be 1 to 4, got {(x, y, z, count)!r}")
             # keep the records of the orbit's count distinct pairs
             del signed[48 * (count - 4) :]
             del unsigned[24 * (count - 4) :]
@@ -329,7 +366,8 @@ def vacuum_bilinears(
         abs_e_cross_chiT_e=abs_ex,
         abs_b_cross_chi_b=abs_bx,
         abs_b_dot_chiT_e=abs_bce,
-        mode_count=ms.mode_count,
+        # one 48-byte record per pair survives the loop
+        mode_count=4 * (len(signed) // 48),
         zero_point_energy=zpe,
     )
 

@@ -12,6 +12,9 @@ references that walk every wavevector one by one:
 - full_grid_closed_form, the closed forms of all 15 channels evaluated
   at every wavevector of a grid built here by cell_centres, and reduced
   with math.fsum, which the library's sums must equal bit for bit.
+
+pairs gives the wavevectors of a ModeSet in rad/cm, its entries times
+its step.
 """
 
 import math
@@ -84,10 +87,12 @@ def wavevector_bilinears(k, m: Material, volume: float, theta: float = 0.0):
 
 
 def pairs(ms: ModeSet) -> tuple[tuple[float, float, float], ...]:
-    """One wavevector per +/-k pair of ms, each pair once."""
+    """One wavevector per +/-k pair of ms in rad/cm, each pair once."""
+    s = ms.step
     return tuple(
         pair
-        for kx, ky, kz, count in ms.orbits
+        for x, y, z, count in ms.orbits
+        for kx, ky, kz in [(x * s, y * s, z * s)]
         for pair in (
             (kx, ky, kz), (kx, ky, -kz), (kx, -ky, kz), (kx, -ky, -kz)
         )[:count]
@@ -103,8 +108,25 @@ def full_grid(ms: ModeSet):
 
 def cell_centres(grid_n: int, cutoff: float) -> list[tuple[float, float, float]]:
     """Every wavevector of the grid: the cell centres with 0 < |k| <= cutoff."""
+    return _inside(_coords(grid_n, cutoff), cutoff)
+
+
+def octant_cell_centres(grid_n: int, cutoff: float) -> list[tuple[float, float, float]]:
+    """The cell centres of cell_centres with no coordinate above 0.
+
+    The coordinates are symmetric about 0 and hypot reads |k| of each, so
+    every cell of cell_centres is one of these up to the signs of its
+    coordinates, at an eighth of the cost.
+    """
+    return _inside(_coords(grid_n, cutoff)[: (grid_n + 1) // 2], cutoff)
+
+
+def _coords(grid_n: int, cutoff: float) -> list[float]:
     step = 2.0 * cutoff / grid_n
-    coords = [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
+    return [(i + 0.5 - grid_n / 2.0) * step for i in range(grid_n)]
+
+
+def _inside(coords: list[float], cutoff: float) -> list[tuple[float, float, float]]:
     return [
         (kx, ky, kz)
         for kx in coords

@@ -672,7 +672,9 @@ def random_run(rng: random.Random) -> tuple[str, dict | str, list[str], bool]:
     vacuum, and vacuum-sweep over cutoff or grid_n, in about one of four
     with a value from rejected_cutoffs or REJECTED_GRID_NS. Numbers come
     from _NUMBERS and from powers of ten out to 1e+-300, and vacuum
-    cutoffs up to the largest float. Options
+    cutoffs up to the largest float and at grid_n / 2 * 2**-1021, where
+    half the grid's step turns subnormal, the two floats below it and
+    the one above. Options
     --beta and --cutoff (written by repr, so negative exponents come up)
     may override the swept parameter. On top of that, each in about one
     draw of ten: an option value "--" (--beta=--), -h, --help or the
@@ -712,12 +714,23 @@ def random_run(rng: random.Random) -> tuple[str, dict | str, list[str], bool]:
             values, rejected = _beta_grid(rng)
             cfg["sweep"] = {"parameter": "beta", "values": values}
     else:
-        if wild and rng.randrange(5) == 4:
+        grid_n = rng.randint(2, 6)
+        kind = rng.randrange(5) if wild else 0
+        if kind == 4:
             cutoff = rng.uniform(1e300, sys.float_info.max)
+        elif kind == 3:
+            # half the step 2 cutoff / grid_n is 2**-1022 at edge; two
+            # ulps below, it rounds below that at every grid_n, and the
+            # grid is filtered at that step instead of at step 1
+            edge = grid_n / 2.0 * 2.0**-1021
+            below = math.nextafter(edge, 0.0)
+            cutoff = rng.choice(
+                (math.nextafter(below, 0.0), below, edge, math.nextafter(edge, 1.0))
+            )
         else:
             cutoff = number(positive=True)
         cfg["vacuum"] = {
-            "grid_n": rng.randint(2, 6),
+            "grid_n": grid_n,
             "cutoff": cutoff,
             "volume": number(positive=True),
         }

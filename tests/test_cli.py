@@ -313,6 +313,19 @@ def test_expand_check_names_the_sweep_it_rejects(tmp_path, capsys, values, messa
     assert (rc, out, err) == (2, "", f"config error: sweep.values: {message}\n")
 
 
+def test_velocity_rejects_overflowing_bilinears_before_any_warning(tmp_path, capsys):
+    # E and B have z components, but a run medium_velocity rejects
+    # prints only the config error
+    fields = {"E": [1e200, 0.0, 1e200], "B": [0.0, 1e200, 0.0]}
+    path = write_config(tmp_path, {"material": GOLDEN_MATERIAL, "fields": fields})
+    rc, out, err = run_cli(capsys, ["velocity", path])
+    message = (
+        "config error: field bilinears leave the float range at"
+        " fields.E=[1e+200, 0.0, 1e+200], fields.B=[0.0, 1e+200, 0.0]\n"
+    )
+    assert (rc, out, err) == (2, "", message)
+
+
 def test_velocity_classical_golden(tmp_path, capsys):
     path = write_config(
         tmp_path, {"material": GOLDEN_MATERIAL, "fields": CROSSED_FIELDS}

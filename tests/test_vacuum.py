@@ -16,6 +16,7 @@ from polarization_reference import (
     full_grid,
     full_grid_closed_form,
     modes,
+    octant_cell_centres,
     pairs,
     reference_bilinears,
 )
@@ -125,6 +126,65 @@ def test_grid_is_the_cell_centres_of_step_2_cutoff_over_grid_n(grid_n, cutoff):
     assert 2 * len(got) == len(want)
 
 
+@pytest.mark.parametrize("grid_n", [*range(2, 65), 96, 127, 128])
+def test_lattice_times_the_step_is_the_float_filtered_grid(grid_n):
+    # wherever half the step is normal, the lattice is filtered once at
+    # step 1, and its cells times the step must be the cells that the
+    # float filter of cell_centres keeps; edge is the smallest cutoff
+    # with 0.5 * step = 2**-1022, and the ulps below it reach down to
+    # the first cutoff whose halved step rounds below 2**-1022, where
+    # the lattice is filtered at the actual step. Compared by the cells
+    # with no coordinate above 0, which stand for the grid up to signs.
+    half = grid_n / 2.0
+    edge = half * 2.0**-1021
+    cutoffs = [1.0, 1e300, sys.float_info.max / 2, edge]
+    while 0.5 * (cutoffs[-1] / half) >= sys.float_info.min:
+        cutoffs.append(math.nextafter(cutoffs[-1], 0.0))
+    lattice = build_mode_set(M_EMPTY, grid_n, CUTOFF, 1.0).orbits
+    for cutoff in cutoffs:
+        ms = build_mode_set(M_EMPTY, grid_n, cutoff, 1.0)
+        assert (ms.orbits is lattice) == (cutoff != cutoffs[-1])
+        s = ms.step
+        got = {(-abs(x * s), -abs(y * s), -abs(z * s)) for x, y, z, _ in ms.orbits}
+        want = octant_cell_centres(grid_n, cutoff)
+        assert got == set(want)
+        # an octant cell with j zero coordinates stands for 2**(3 - j)
+        # cells, two modes each
+        assert ms.mode_count == 2 * sum(8 >> k.count(0.0) for k in want)
+
+
+def test_one_lattice_is_cached_for_the_last_grid_n():
+    # the lattice depends on grid_n alone wherever the step is normal
+    a = build_mode_set(M_EMPTY, 11, CUTOFF, 1.0)
+    b = build_mode_set(M_COUPLED, 11, 3e-7, 2.0)
+    assert b.orbits is a.orbits
+    assert (a.step, b.step) == (CUTOFF / 5.5, 3e-7 / 5.5)
+    # another grid_n replaces it
+    build_mode_set(M_EMPTY, 12, CUTOFF, 1.0)
+    c = build_mode_set(M_EMPTY, 11, CUTOFF, 1.0)
+    assert c.orbits is not a.orbits
+    assert c.orbits == a.orbits
+    assert vacuum._lattice.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("step", [1e4, 0.1, math.pi * 1e-3, 3e-320, 1e290], ids=repr)
+@pytest.mark.parametrize(
+    "m", [M_GENERIC, M_SIGNED_ZEROS], ids=["generic", "signed-zeros"]
+)
+def test_a_step_sums_like_entries_premultiplied_by_it(m, step):
+    # the sums form each component as x * step, and x * 1.0 is x
+    entries = (
+        (-3.0, -2.0, -5.0, 4), (1.0, -7.5, 0.25, 3), (-6.0, 4.0, 0.0, 1), (2.0, 0.0, -8.0, 2)
+    )
+    scaled = ModeSet(entries, CUTOFF, 1.0, step)
+    premultiplied = ModeSet(
+        tuple((x * step, y * step, z * step, c) for x, y, z, c in entries), CUTOFF, 1.0, 1.0
+    )
+    for magnitudes in (True, False):
+        got = vacuum_bilinears(scaled, m, magnitudes=magnitudes)
+        assert repr(got) == repr(vacuum_bilinears(premultiplied, m, magnitudes=magnitudes))
+
+
 def test_modes_are_grouped_by_wavevector():
     # two polarization modes at each of k and -k per pair, each pair
     # listed once
@@ -154,7 +214,7 @@ def test_mode_invariants():
         assert abs(dot(pair[0].polarization, pair[1].polarization)) <= 1e-12
         # the library's |E x B| carries the same amplitude: 2 n a^2 at
         # each of k and -k
-        single = vacuum_bilinears(ModeSet(((*k, 1),), CUTOFF, volume), m)
+        single = vacuum_bilinears(ModeSet(((*k, 1),), CUTOFF, volume, 1.0), m)
         assert math.isclose(single.abs_e_cross_b, 4.0 * n * want_amp**2, rel_tol=1e-12)
 
 
@@ -191,7 +251,7 @@ def test_build_rejects_a_cutoff_or_volume_not_finite_and_positive(name, value):
 
 
 def test_empty_mode_set_rejected_by_summation():
-    empty = ModeSet((), CUTOFF, 1.0)
+    empty = ModeSet((), CUTOFF, 1.0, 1.0)
     with pytest.raises(EmptyModeSet):
         vacuum_bilinears(empty, M_EMPTY)
 
@@ -204,7 +264,7 @@ def test_single_axial_mode_bilinears():
     n = M_COUPLED.index
     k0 = 0.25 * CUTOFF
     a2 = 2.0 * math.pi * HBAR * C_LIGHT * k0 / n
-    ms = ModeSet(((0.0, 0.0, k0, 1),), CUTOFF, 1.0)
+    ms = ModeSet(((0.0, 0.0, k0, 1),), CUTOFF, 1.0, 1.0)
     bs = vacuum_bilinears(ms, M_COUPLED)
     assert bs.mode_count == 4
     assert bs.e_cross_b == Vec3(0.0, 0.0, 0.0)
@@ -293,7 +353,7 @@ def test_summation_is_deterministic():
 
 def test_summation_is_order_independent():
     ms = build_mode_set(M_GENERIC, 7, CUTOFF, 1.0)
-    reversed_ms = ModeSet(ms.orbits[::-1], ms.cutoff, ms.volume)
+    reversed_ms = ModeSet(ms.orbits[::-1], ms.cutoff, ms.volume, ms.step)
     assert vacuum_bilinears(reversed_ms, M_GENERIC) == vacuum_bilinears(ms, M_GENERIC)
 
 
@@ -353,7 +413,7 @@ _HAND_MADE = ((-3e4, -2e4, -5e4), (1e4, -7e4, 3e3), (-6e4, 4e4, 0.0), (2e4, 0.0,
 def test_hand_made_entries_of_every_count(m, counts):
     # each entry stands for its first count pairs, in both modes
     entries = tuple((*k, count) for k, count in zip(_HAND_MADE, counts))
-    ms = ModeSet(entries, CUTOFF, 1.0)
+    ms = ModeSet(entries, CUTOFF, 1.0, 1.0)
     want = full_grid_closed_form(list(full_grid(ms)), m, 1.0)
     got = vacuum_bilinears(ms, m)
     assert repr(got) == repr(want)
@@ -370,7 +430,7 @@ def test_entries_of_a_count_outside_1_to_4_are_rejected(count, magnitudes):
     # a count of 5 once summed 4 pairs while mode_count counted 5, and
     # -1 trimmed records of the entry before it
     entries = ((*_HAND_MADE[0], 4), (*_HAND_MADE[1], count))
-    ms = ModeSet(entries, CUTOFF, 1.0)
+    ms = ModeSet(entries, CUTOFF, 1.0, 1.0)
     with pytest.raises(ValueError, match=rf"^orbit count must be 1 to 4, got \(.*, {count}\)$"):
         vacuum_bilinears(ms, M_GENERIC, magnitudes=magnitudes)
 
@@ -403,7 +463,7 @@ def test_closed_form_matches_polarization_sum(chi, eps, mu, direction, kmag):
     m = Material(eps, mu, Mat3(*chi), 1.0)
     norm = math.hypot(*direction)
     k = tuple(kmag * c / norm for c in direction)
-    ms = ModeSet(((*k, 1),), kmag, 1.0)
+    ms = ModeSet(((*k, 1),), kmag, 1.0, 1.0)
     got = vacuum_bilinears(ms, m)
     want = reference_bilinears(ms, m)
     a2 = amplitude(math.hypot(*k), m, 1.0) ** 2
