@@ -57,9 +57,6 @@ class Vec3(_checked("Vec3", "x y z")):
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def scale(self, s: float) -> "Vec3":
-        return Vec3(s * self.x, s * self.y, s * self.z)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return tuple(self)
 
@@ -94,7 +91,12 @@ class Mat3(_checked("Mat3", "xx xy xz yx yy yz zx zy zz")):
 
     def __new__(cls, xx, xy, xz, yx, yy, yz, zx, zy, zz):
         entries = (xx, xy, xz, yx, yy, yz, zx, zy, zz)
-        _require_finite("Mat3 entry", *entries)
+        if not (
+            _isfinite(xx) and _isfinite(xy) and _isfinite(xz)
+            and _isfinite(yx) and _isfinite(yy) and _isfinite(yz)
+            and _isfinite(zx) and _isfinite(zy) and _isfinite(zz)
+        ):
+            _require_finite("Mat3 entry", *entries)
         return _new(cls, entries)
 
     @classmethod
@@ -159,7 +161,8 @@ class Material(_checked("Material", "epsilon mu chi rho0")):
     __slots__ = ()
 
     def __new__(cls, epsilon: float, mu: float, chi: Mat3, rho0: float):
-        _require_finite("Material parameter", epsilon, mu, rho0)
+        if not (_isfinite(epsilon) and _isfinite(mu) and _isfinite(rho0)):
+            _require_finite("Material parameter", epsilon, mu, rho0)
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
         if mu <= 0.0:
@@ -180,10 +183,17 @@ class BoostSpec(_checked("BoostSpec", "beta")):
     __slots__ = ()
 
     def __new__(cls, beta: float):
-        _require_finite("beta", beta)
-        if not abs(beta) < 1.0:
-            raise ValueError(f"|beta| must be < 1, got {beta!r}")
+        _check_beta(beta)
         return _new(cls, (beta,))
+
+
+def _check_beta(beta: float) -> None:
+    """Raise ValueError unless beta is finite with |beta| < 1: the rule
+    of BoostSpec, for a caller that checks a beta without the record."""
+    # abs(nan) < 1.0 is false too, so one test passes every valid beta
+    if not abs(beta) < 1.0:
+        _require_finite("beta", beta)
+        raise ValueError(f"|beta| must be < 1, got {beta!r}")
 
 
 class FieldState(namedtuple("FieldState", "E B")):

@@ -34,7 +34,7 @@ import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 
-from .algebra import BoostSpec, FieldState, Material, _check_grid_n
+from .algebra import BoostSpec, FieldState, Material, _check_beta, _check_grid_n
 from .config import _SCHEMA, RunConfig, _positive, load_config
 from .errors import (
     ConfigError,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .lagrangian import verify_expansion
 from .momentum import medium_velocity, term_ratio_of, velocity_from_bilinears
-from .relativity import index_of, transform_constants
+from .relativity import _constant_factors, _constants_at, index_of
 from .vacuum import (
     MAGNITUDE_CHANNELS,
     build_mode_set,
@@ -58,6 +58,7 @@ DEFAULT_BETA_GRID = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 SLOPE_WINDOW = (1.9, 2.1)
 
 _LONGITUDINAL_TOL = 1e-9
+_isfinite = math.isfinite
 
 # a separate option value that starts with "-": -1, -1.5, -.5, -1e-05
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -178,54 +179,64 @@ def _warn_longitudinal(f: FieldState) -> None:
             )
 
 
-def _boost_list(cfg: RunConfig) -> list[BoostSpec]:
+def _betas(cfg: RunConfig) -> tuple[float, ...]:
+    """The betas transform writes a row for, each checked before any row."""
     if cfg.sweep is None:
         if cfg.boost is None:
             raise ConfigError("transform requires a boost section or a beta sweep")
-        return [cfg.boost]
+        return (cfg.boost.beta,)
     if cfg.boost is not None:
         raise ConfigError(
             "boost.beta cannot be combined with the beta sweep given in sweep.values"
         )
     try:
-        return [BoostSpec(v) for v in cfg.sweep.values]
+        for beta in cfg.sweep.values:
+            _check_beta(beta)
     except ValueError as exc:
         raise ConfigError(f"sweep.values: {exc}") from exc
+    return cfg.sweep.values
 
 
-def _transform_out_of_range(m: Material, boost: BoostSpec) -> NonFiniteResult:
+def _transform_out_of_range(m: Material, beta: float) -> NonFiniteResult:
     return NonFiniteResult(
         "transformed constants leave the float range at"
-        f" epsilon={m.epsilon!r}, mu={m.mu!r}, beta={boost.beta!r}"
+        f" epsilon={m.epsilon!r}, mu={m.mu!r}, beta={beta!r}"
     )
 
 
 def cmd_transform(cfg: RunConfig, args) -> int:
     m = cfg.material
-    n = m.index
+    betas = _betas(cfg)
+    factors = _constant_factors(m)
+    n = factors[2]
+    impedance_rest = m.epsilon / m.mu
     rows = []
-    for boost in _boost_list(cfg):
-        tc = transform_constants(m, boost)
+    for beta in betas:
+        constants = _constants_at(factors, beta)
+        epsilon_prime, mu_prime = constants
         # mu' is 0 where mu/eps underflows or beta = -n
-        if tc.mu_prime == 0.0:
-            raise _transform_out_of_range(m, boost)
-        n_prime = index_of(tc)
-        impedance = tc.epsilon_prime / tc.mu_prime
-        expected_index = (n + boost.beta) / (1.0 + n * boost.beta)
-        row = (
-            ("beta", boost.beta),
-            ("epsilon_prime", tc.epsilon_prime),
-            ("mu_prime", tc.mu_prime),
-            ("index_prime", n_prime),
-            ("impedance_ratio", impedance),
-            ("impedance_delta", abs(impedance - m.epsilon / m.mu)),
-            ("index_delta", abs(n_prime - expected_index)),
+        if mu_prime == 0.0:
+            raise _transform_out_of_range(m, beta)
+        n_prime = index_of(constants)
+        impedance = epsilon_prime / mu_prime
+        impedance_delta = abs(impedance - impedance_rest)
+        index_delta = abs(n_prime - (n + beta) / (1.0 + n * beta))
+        # n = sqrt(eps mu) or eps/mu overflows at extreme constants. A
+        # non-finite eps' leaves the impedance non-finite and a non-finite
+        # mu' the index (eps' and mu' share a sign), and either its delta
+        if not (_isfinite(impedance_delta) and _isfinite(index_delta)):
+            raise _transform_out_of_range(m, beta)
+        rows.append(
+            (
+                ("beta", beta),
+                ("epsilon_prime", epsilon_prime),
+                ("mu_prime", mu_prime),
+                ("index_prime", n_prime),
+                ("impedance_ratio", impedance),
+                ("impedance_delta", impedance_delta),
+                ("index_delta", index_delta),
+            )
         )
-        # n = sqrt(eps mu) or eps/mu overflows at extreme constants
-        _, values = zip(*row)
-        if not all(map(math.isfinite, values)):
-            raise _transform_out_of_range(m, boost)
-        rows.append(row)
     _emit(cfg, args, rows)
     return 0
 
@@ -348,7 +359,11 @@ def _override_beta(cfg: RunConfig, beta: float) -> RunConfig:
 def _override_cutoff(cfg: RunConfig, cutoff: float) -> RunConfig:
     if cfg.vacuum is None:
         raise ConfigError("--cutoff given but the config has no vacuum section")
-    return cfg._replace(vacuum=cfg.vacuum._replace(cutoff=_positive(cutoff, "--cutoff")))
+    try:
+        cutoff = _positive(cutoff)
+    except ValueError as exc:
+        raise ConfigError(f"--cutoff: {exc}") from None
+    return cfg._replace(vacuum=cfg.vacuum._replace(cutoff=cutoff))
 
 
 # option name -> (help, function that checks its value and applies it)

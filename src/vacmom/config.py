@@ -44,59 +44,80 @@ def _check_keys(node, allowed, required, path) -> None:
             raise ConfigError(f"{path}: missing required key '{key}'")
 
 
-def _number(value, path, index=None) -> float:
+class _Rejected(ValueError):
+    """A value a parser rejects. args: the problem, then the index of the
+    list element at fault, if any; the caller names the field, so a path
+    is formatted only for a value that is rejected."""
+
+
+def _number(value) -> float:
     # a float skips the numbers.Real check, which is slow
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, Real):
-        problem = f"expected a number, got {value!r}"
-    else:
+        raise _Rejected(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Rejected("too large for a float") from None
+
+
+def _element_numbers(value) -> list[float]:
+    """_number of each element of a list; a rejection names its index."""
+    numbers = []
+    for i, v in enumerate(value):
         try:
-            return float(value)
-        except OverflowError:
-            problem = "too large for a float"
-    where = path if index is None else f"{path}[{index}]"
-    raise ConfigError(f"{where}: {problem}")
+            numbers.append(_number(v))
+        except _Rejected as exc:
+            raise _Rejected(exc.args[0], i) from None
+    return numbers
 
 
-def _positive(value, path) -> float:
-    x = _number(value, path)
+def _positive(value) -> float:
+    x = _number(value)
     if not 0.0 < x < math.inf:
-        raise ConfigError(f"{path}: must be finite and > 0, got {x!r}")
+        raise _Rejected(f"must be finite and > 0, got {x!r}")
     return x
 
 
-def _grid_n(value, path) -> int:
+def _grid_n(value) -> int:
     try:
         _check_grid_n(value)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise _Rejected(str(exc)) from None
     return value
 
 
+# the element types of a list of JSON floats
+_FLOAT = {float}
+
+
 def _numbers(count):
-    def parse(value, path) -> list[float]:
+    def parse(value) -> list[float]:
         if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list of {count} numbers")
+            raise _Rejected(f"expected a list of {count} numbers")
         if len(value) != count:
-            raise ConfigError(f"{path}: expected {count} numbers, got {len(value)}")
-        return [_number(v, path, i) for i, v in enumerate(value)]
+            raise _Rejected(f"expected {count} numbers, got {len(value)}")
+        # a list of floats, the usual case, takes one scan of its types
+        if _FLOAT.issuperset(map(type, value)):
+            return value
+        return _element_numbers(value)
 
     return parse
 
 
-def _sweep_parameter(value, path) -> str:
+def _sweep_parameter(value) -> str:
     if value not in _SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"{path}: must be one of {', '.join(_SWEEP_PARAMETERS)}, got {value!r}"
-        )
+        raise _Rejected(f"must be one of {', '.join(_SWEEP_PARAMETERS)}, got {value!r}")
     return value
 
 
-def _sweep_values(value, path) -> tuple[float, ...]:
+def _sweep_values(value) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return tuple(_number(v, path, i) for i, v in enumerate(value))
+        raise _Rejected("expected a nonempty list of numbers")
+    if _FLOAT.issuperset(map(type, value)):
+        return tuple(value)
+    return tuple(_element_numbers(value))
 
 
 # section -> (constructor, {key: parser of its value}). The section
@@ -124,24 +145,35 @@ _SCHEMA = {
 _REQUIRED_SECTIONS = tuple(_SCHEMA)[:1]
 
 
-def _parse_section(name, node, path):
+def _parse_section(name, node, label):
+    """The record of section name from its decoded node. Each check runs
+    in schema order; the path label.name, with the key and the index at
+    fault, is formatted only for the message of a check that fails."""
     build, keys = _SCHEMA[name]
-    _check_keys(node, keys, keys, path)
-    values = [parse(node[key], f"{path}.{key}") for key, parse in keys.items()]
+    # one comparison of key sets passes a well-formed section; any other
+    # node goes through the checks that name what is wrong with it
+    if type(node) is not dict or node.keys() != keys.keys():
+        _check_keys(node, keys, keys, f"{label}.{name}")
+    values = []
     try:
+        for key, parse in keys.items():
+            values.append(parse(node[key]))
         return build(*values)
+    except _Rejected as exc:
+        problem, *index = exc.args
+        where = "".join(f"[{i}]" for i in index)
+        raise ConfigError(f"{label}.{name}.{key}{where}: {problem}") from None
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{label}.{name}: {exc}") from exc
 
 
 def parse_config(data, label: str = "config") -> RunConfig:
     """Validate a decoded JSON document into a RunConfig."""
-    _check_keys(data, _SCHEMA, _REQUIRED_SECTIONS, label)
-    sections = {
-        name: _parse_section(name, data[name], f"{label}.{name}") if name in data else None
-        for name in _SCHEMA
-    }
-    return RunConfig(**sections)
+    if type(data) is not dict or not (data.keys() <= _SCHEMA.keys() and "material" in data):
+        _check_keys(data, _SCHEMA, _REQUIRED_SECTIONS, label)
+    return RunConfig(
+        *[_parse_section(name, data[name], label) if name in data else None for name in _SCHEMA]
+    )
 
 
 def _unique_keys(pairs) -> dict:

@@ -23,14 +23,13 @@ import math
 import sys
 from collections import namedtuple
 
-from .algebra import (
-    BoostSpec, FieldState, Material, Vec3, cross, dot, mat_apply, mat_t_apply
-)
+from .algebra import BoostSpec, FieldState, Material, Vec3
 from .constants import C_LIGHT, FOUR_PI
 from .errors import NonFiniteResult
 from .lagrangian import vector_form_density
 
 _RATIO_FLOOR = 1e-300
+_isfinite = math.isfinite
 
 
 class VelocityResult(
@@ -70,6 +69,23 @@ def velocity_from_bilinears(m: Material, bilinears: Bilinears) -> VelocityResult
     mu) or the division by rho0 leaves the float range, or if
     epsilon mu underflows to 0, which leaves 1/n undefined.
     """
+    return _assemble(
+        m,
+        *bilinears.e_cross_b,
+        *bilinears.e_cross_chiT_e,
+        *bilinears.b_cross_chi_b,
+        bilinears.b_dot_chiT_e,
+    )
+
+
+def _assemble(m, ax, ay, az, ex, ey, ez, bx, by, bz, b_dot_chiT_e) -> VelocityResult:
+    """velocity_from_bilinears on plain floats: the components of E x B
+    (a), E x chi^T E (e) and B x chi B (b), then B . chi^T E.
+
+    Each value is the product or sum the Vec3 form (scale, +, then
+    scale by 1/rho0) takes, in its order: the x and y totals add the
+    0.0 of the z-only mu term, which turns a -0.0 into 0.0.
+    """
     pref = 1.0 / (FOUR_PI * m.mu * C_LIGHT)
     n = m.index
     if n == 0.0:
@@ -77,31 +93,34 @@ def velocity_from_bilinears(m: Material, bilinears: Bilinears) -> VelocityResult
             "the index n = sqrt(epsilon mu) underflows to 0 at"
             f" epsilon={m.epsilon!r}, mu={m.mu!r}"
         )
-    try:
-        am = bilinears.e_cross_b.scale(pref * (m.epsilon * m.mu - 1.0))
-        chi_e = bilinears.e_cross_chiT_e.scale(pref)
-        chi_b = bilinears.b_cross_chi_b.scale(-pref)
-        mu_term_z = -pref * (n - 1.0 / n) * bilinears.b_dot_chiT_e
-        total = am + chi_e + chi_b + Vec3(0.0, 0.0, mu_term_z)
-    except ValueError as exc:  # Vec3 rejects the non-finite components
+    am = pref * (m.epsilon * m.mu - 1.0)
+    am_x, am_y, am_z = am * ax, am * ay, am * az
+    chi_e_x, chi_e_y, chi_e_z = pref * ex, pref * ey, pref * ez
+    chi_b = -pref
+    chi_b_x, chi_b_y, chi_b_z = chi_b * bx, chi_b * by, chi_b * bz
+    mu_term_z = -pref * (n - 1.0 / n) * b_dot_chiT_e
+    total_x = am_x + chi_e_x + chi_b_x + 0.0
+    total_y = am_y + chi_e_y + chi_b_y + 0.0
+    total_z = am_z + chi_e_z + chi_b_z + mu_term_z
+    # a float sum is finite only if every term and partial sum is, so
+    # the totals stand for every term of the three vectors and mu_term_z
+    if not (_isfinite(total_x) and _isfinite(total_y) and _isfinite(total_z)):
         raise NonFiniteResult(
             f"velocity terms leave the float range at epsilon={m.epsilon!r},"
             f" mu={m.mu!r}"
-        ) from exc
-    try:
-        rhs = total.scale(1.0 / m.rho0)
-    except ValueError as exc:  # Vec3 rejects the non-finite components
-        raise NonFiniteResult(
-            f"velocity leaves the float range at rho0={m.rho0!r}"
-        ) from exc
+        )
+    per_mass = 1.0 / m.rho0
+    v_x, v_y, v_z = per_mass * total_x, per_mass * total_y, per_mass * total_z
+    if not (_isfinite(v_x) and _isfinite(v_y) and _isfinite(v_z)):
+        raise NonFiniteResult(f"velocity leaves the float range at rho0={m.rho0!r}")
     return VelocityResult(
-        rhs_vector=rhs,
-        v_z=rhs.z,
-        abraham_minkowski_term=am,
-        chi_E_term=chi_e,
-        chi_B_term=chi_b,
-        mu_term_z=mu_term_z,
-        transverse_residual=_transverse_norm(rhs.x, rhs.y),
+        Vec3(v_x, v_y, v_z),
+        v_z,
+        Vec3(am_x, am_y, am_z),
+        Vec3(chi_e_x, chi_e_y, chi_e_z),
+        Vec3(chi_b_x, chi_b_y, chi_b_z),
+        mu_term_z,
+        _transverse_norm(v_x, v_y),
     )
 
 
@@ -123,20 +142,31 @@ def medium_velocity(m: Material, f: FieldState) -> VelocityResult:
 
     Raises NonFiniteResult if a field bilinear leaves the float range.
     """
-    try:
-        chi_t_e = mat_t_apply(m.chi, f.E)
-        b_dot_chiT_e = dot(f.B, chi_t_e)
-        if not math.isfinite(b_dot_chiT_e):
-            raise ValueError(f"B . chi^T E must be finite, got {b_dot_chiT_e!r}")
-        bilinears = Bilinears(
-            cross(f.E, f.B), cross(f.E, chi_t_e), cross(f.B, mat_apply(m.chi, f.B)), b_dot_chiT_e
-        )
-    except ValueError as exc:  # Vec3 rejects the non-finite components
+    (ex, ey, ez), (bx, by, bz) = f
+    xx, xy, xz, yx, yy, yz, zx, zy, zz = m.chi
+    # chi^T E and chi B as mat_t_apply and mat_apply form them, B . chi^T E
+    # as dot, and the cross products as cross, each in its order
+    tx = xx * ex + yx * ey + zx * ez
+    ty = xy * ex + yy * ey + zy * ez
+    tz = xz * ex + yz * ey + zz * ez
+    cx = xx * bx + xy * by + xz * bz
+    cy = yx * bx + yy * by + yz * bz
+    cz = zx * bx + zy * by + zz * bz
+    b_dot_chiT_e = bx * tx + by * ty + bz * tz
+    bilinears = (
+        ey * bz - ez * by, ez * bx - ex * bz, ex * by - ey * bx,
+        ey * tz - ez * ty, ez * tx - ex * tz, ex * ty - ey * tx,
+        by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx,
+        b_dot_chiT_e,
+    )
+    # a product or sum with a non-finite factor or term is non-finite, so
+    # B . chi^T E and B x chi B stand for chi^T E and chi B as well
+    if not all(map(_isfinite, bilinears)):
         raise NonFiniteResult(
             "field bilinears leave the float range at"
             f" fields.E={list(f.E)!r}, fields.B={list(f.B)!r}"
-        ) from exc
-    return velocity_from_bilinears(m, bilinears)
+        )
+    return _assemble(m, *bilinears)
 
 
 def term_ratio_of(vr: VelocityResult) -> float | None:

@@ -21,7 +21,8 @@ and a per-beta part that returns plain floats: _constant_factors and
 _constants_at for the constants, the six lab components and _fields_at
 for the fields. transform_constants and transform_fields wrap one call
 of each in their records; lagrangian.verify_expansion forms the inputs
-once and calls the per-beta parts at each beta of its grid.
+once and calls the per-beta parts at each beta of its grid, and the
+CLI's transform rows do the same over a beta sweep.
 """
 
 from __future__ import annotations
@@ -79,11 +80,11 @@ def index_of(tc: TransformedConstants) -> float:
     sign: a boost with beta < -n drives both constants negative, and a
     double-negative medium carries a negative index (the usual
     left-handed convention), so the root is taken with the sign of
-    eps'.
+    eps'. tc may be any pair (eps', mu'), such as the plain floats of
+    _constants_at.
     """
-    return math.copysign(
-        math.sqrt(tc.epsilon_prime * tc.mu_prime), tc.epsilon_prime
-    )
+    epsilon_prime, mu_prime = tc
+    return math.copysign(math.sqrt(epsilon_prime * mu_prime), epsilon_prime)
 
 
 def _fields_at(components, beta: float) -> tuple[float, float, float, float, float, float]:

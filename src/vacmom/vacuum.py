@@ -121,10 +121,6 @@ class ModeSet(namedtuple("ModeSet", "orbits cutoff volume step")):
 
     __slots__ = ()
 
-    @property
-    def mode_count(self) -> int:
-        return 4 * sum(orbit[3] for orbit in self.orbits)
-
 
 @dataclass(frozen=True, slots=True)
 class BilinearSums:

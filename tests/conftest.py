@@ -5,7 +5,7 @@ acceptance tests draw their configuration samples through these exact
 calls (numpy default_rng, draw order epsilon, mu, chi, E, B), so the
 sampled configurations are reproducible byte for byte.
 
-The basis vectors, norm, negation, diagonal matrices and the transpose
+The basis vectors, norm, negation, scaling, diagonal matrices and the transpose
 below are used by the tests only, so they live here rather than in the
 library.
 """
@@ -30,6 +30,10 @@ def norm(v: Vec3) -> float:
 
 def neg(v: Vec3) -> Vec3:
     return Vec3(-v.x, -v.y, -v.z)
+
+
+def scale(v: Vec3, s: float) -> Vec3:
+    return Vec3(s * v.x, s * v.y, s * v.z)
 
 
 def diagonal(a: float, b: float, c: float) -> Mat3:

@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from conftest import XHAT, norm, transpose
+from conftest import XHAT, norm, scale, transpose
 from vacmom import BilinearSums, Material, ModeSet, Vec3, ZHAT, cross, dot, mat_apply
 from vacmom.constants import C_LIGHT, HBAR
 
@@ -43,11 +43,11 @@ def polarization_pair(khat: Vec3, theta: float = 0.0) -> tuple[Vec3, Vec3]:
     """
     ref = ZHAT if abs(khat.z) <= 0.9 else XHAT
     e1 = cross(ref, khat)
-    e1 = e1.scale(1.0 / norm(e1))
+    e1 = scale(e1, 1.0 / norm(e1))
     e2 = cross(khat, e1)
     if theta:
         c, s = math.cos(theta), math.sin(theta)
-        e1, e2 = e1.scale(c) + e2.scale(s), e2.scale(c) - e1.scale(s)
+        e1, e2 = scale(e1, c) + scale(e2, s), scale(e2, c) - scale(e1, s)
     return e1, e2
 
 
@@ -58,15 +58,15 @@ def amplitude(kmag: float, m: Material, volume: float) -> float:
 def modes(k, m: Material, volume: float, theta: float = 0.0) -> tuple[Mode, Mode]:
     """The two zero-point modes of wavevector k = (kx, ky, kz)."""
     kvec = Vec3(*k)
-    khat = kvec.scale(1.0 / norm(kvec))
+    khat = scale(kvec, 1.0 / norm(kvec))
     amp = amplitude(norm(kvec), m, volume)
     return tuple(
         Mode(
             khat,
             e,
             amp,
-            e.scale(amp),
-            cross(khat, e).scale(m.index * amp),
+            scale(e, amp),
+            scale(cross(khat, e), m.index * amp),
         )
         for e in polarization_pair(khat, theta)
     )

@@ -23,6 +23,8 @@ that runs it:
   strings with escapes, non-ASCII text and "%"), in keys too;
 - the CSV that ``cli._emit`` writes against ``csv.writer``;
 - the malformed-file table, run through ``cli.main``;
+- ``parse_config`` against ``CONFIG_REJECTIONS``, a table from each
+  schema rule to its exact rejection message;
 - random CLI runs against ``check_run``, the oracle of a whole run:
   ``FIXED_RUNS``, then seeded draws of ``random_run``, the one generator
   of random configs, which the CLI fuzz test (through hypothesis) and
@@ -56,7 +58,7 @@ import tempfile
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from vacmom import MAX_GRID_N, BoostSpec, FieldState, Material, cli  # noqa: E402
+from vacmom import MAX_GRID_N, BoostSpec, ConfigError, FieldState, Material, cli  # noqa: E402
 from vacmom.config import _SCHEMA, RunConfig, SweepSpec, VacuumSpec, parse_config  # noqa: E402
 
 SUBCOMMANDS = tuple(cli._SUBCOMMANDS)
@@ -586,6 +588,187 @@ def check_malformed_files(seed: int, count: int) -> tuple[str, list[str]]:
     return f"{len(MALFORMED_FILES)} files", failures
 
 
+# a config with every section, which the schema accepts
+FULL_CONFIG = {
+    "material": GOLDEN_MATERIAL,
+    "boost": {"beta": 0.1},
+    "fields": CROSSED_FIELDS,
+    "vacuum": {"grid_n": 4, "cutoff": 1e5, "volume": 1.0},
+    "sweep": {"parameter": "beta", "values": [0.1, 0.2]},
+}
+
+# an edit's value that deletes the item at its path
+DELETE = object()
+
+_GRID_N_RULE = f"grid_n must be an integer in [2, MAX_GRID_N={MAX_GRID_N}], got"
+
+# rule -> (edits of FULL_CONFIG, the message of the ConfigError that
+# parse_config raises at the default label "config"). An edit is a path
+# of keys and list indices, () for the whole document, and the value it
+# sets there. The document goes through json.dumps and json.loads, so
+# nan and inf are read from the NaN and Infinity literals.
+CONFIG_REJECTIONS = {
+    "document not an object": ([((), [1.0])], "config: expected an object, got list"),
+    "section not an object": (
+        [(("fields",), [1.0, 0.0])],
+        "config.fields: expected an object, got list",
+    ),
+    "unknown section": ([(("boosts",), {"beta": 0.1})], "config: unknown key(s) boosts"),
+    "unknown keys": (
+        [(("material", "zeta"), 1.0), (("material", "alpha"), 1.0)],
+        "config.material: unknown key(s) alpha, zeta",
+    ),
+    "missing section": ([(("material",), DELETE)], "config: missing required key 'material'"),
+    "missing key": (
+        [(("vacuum", "volume"), DELETE)],
+        "config.vacuum: missing required key 'volume'",
+    ),
+    "string scalar": (
+        [(("material", "epsilon"), "2.25")],
+        "config.material.epsilon: expected a number, got '2.25'",
+    ),
+    "bool scalar": ([(("boost", "beta"), True)], "config.boost.beta: expected a number, got True"),
+    "null scalar": (
+        [(("vacuum", "cutoff"), None)],
+        "config.vacuum.cutoff: expected a number, got None",
+    ),
+    "bool element": (
+        [(("material", "chi", 3), False)],
+        "config.material.chi[3]: expected a number, got False",
+    ),
+    "string element": (
+        [(("fields", "B", 2), "1")],
+        "config.fields.B[2]: expected a number, got '1'",
+    ),
+    "object sweep value": (
+        [(("sweep", "values", 1), {})],
+        "config.sweep.values[1]: expected a number, got {}",
+    ),
+    "huge int scalar": (
+        [(("material", "rho0"), 10**400)],
+        "config.material.rho0: too large for a float",
+    ),
+    "huge int element": (
+        [(("fields", "E", 0), -(10**400))],
+        "config.fields.E[0]: too large for a float",
+    ),
+    "huge int sweep value": (
+        [(("sweep", "values", 0), 2**1024)],
+        "config.sweep.values[0]: too large for a float",
+    ),
+    "scalar for a list": (
+        [(("material", "chi"), 1.0)],
+        "config.material.chi: expected a list of 9 numbers",
+    ),
+    "object for a list": (
+        [(("fields", "E"), {"x": 1.0})],
+        "config.fields.E: expected a list of 3 numbers",
+    ),
+    "short list": ([(("fields", "B"), [0.0, 1.0])], "config.fields.B: expected 3 numbers, got 2"),
+    "long list": (
+        [(("material", "chi"), [0.0] * 10)],
+        "config.material.chi: expected 9 numbers, got 10",
+    ),
+    "NaN epsilon": (
+        [(("material", "epsilon"), math.nan)],
+        "config.material: Material parameter must be finite, got nan",
+    ),
+    "Infinity chi": (
+        [(("material", "chi", 8), math.inf)],
+        "config.material: Mat3 entry must be finite, got inf",
+    ),
+    "-Infinity field": (
+        [(("fields", "E", 1), -math.inf)],
+        "config.fields: Vec3 component must be finite, got -inf",
+    ),
+    "NaN beta": ([(("boost", "beta"), math.nan)], "config.boost: beta must be finite, got nan"),
+    "Infinity cutoff": (
+        [(("vacuum", "cutoff"), math.inf)],
+        "config.vacuum.cutoff: must be finite and > 0, got inf",
+    ),
+    "NaN volume": (
+        [(("vacuum", "volume"), math.nan)],
+        "config.vacuum.volume: must be finite and > 0, got nan",
+    ),
+    "epsilon 0": (
+        [(("material", "epsilon"), 0.0)],
+        "config.material: epsilon must be > 0, got 0.0",
+    ),
+    "mu < 0": ([(("material", "mu"), -1)], "config.material: mu must be > 0, got -1.0"),
+    "rho0 -0.0": ([(("material", "rho0"), -0.0)], "config.material: rho0 must be > 0, got -0.0"),
+    "beta 1": ([(("boost", "beta"), 1)], "config.boost: |beta| must be < 1, got 1.0"),
+    "beta < -1": ([(("boost", "beta"), -1.5)], "config.boost: |beta| must be < 1, got -1.5"),
+    "grid_n 1": ([(("vacuum", "grid_n"), 1)], f"config.vacuum.grid_n: {_GRID_N_RULE} 1"),
+    "grid_n past the largest": (
+        [(("vacuum", "grid_n"), MAX_GRID_N + 1)],
+        f"config.vacuum.grid_n: {_GRID_N_RULE} {MAX_GRID_N + 1}",
+    ),
+    "grid_n float": ([(("vacuum", "grid_n"), 4.0)], f"config.vacuum.grid_n: {_GRID_N_RULE} 4.0"),
+    "grid_n bool": ([(("vacuum", "grid_n"), True)], f"config.vacuum.grid_n: {_GRID_N_RULE} True"),
+    "cutoff 0": (
+        [(("vacuum", "cutoff"), 0)],
+        "config.vacuum.cutoff: must be finite and > 0, got 0.0",
+    ),
+    "volume < 0": (
+        [(("vacuum", "volume"), -1e-300)],
+        "config.vacuum.volume: must be finite and > 0, got -1e-300",
+    ),
+    "sweep parameter": (
+        [(("sweep", "parameter"), "mass")],
+        "config.sweep.parameter: must be one of beta, cutoff, grid_n, got 'mass'",
+    ),
+    "empty sweep values": (
+        [(("sweep", "values"), [])],
+        "config.sweep.values: expected a nonempty list of numbers",
+    ),
+    "scalar sweep values": (
+        [(("sweep", "values"), 0.1)],
+        "config.sweep.values: expected a nonempty list of numbers",
+    ),
+    # the sections, then each section's keys, are checked in schema order
+    "first fault in schema order": (
+        [(("sweep", "values"), []), (("material", "chi", 0), None), (("material", "mu"), "x")],
+        "config.material.mu: expected a number, got 'x'",
+    ),
+}
+
+
+def _edited(edits) -> dict:
+    """FULL_CONFIG with the edits of a CONFIG_REJECTIONS entry."""
+    document = json.loads(json.dumps(FULL_CONFIG))
+    for path, value in edits:
+        if not path:
+            document = value
+            continue
+        *parents, last = path
+        node = document
+        for step in parents:
+            node = node[step]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return document
+
+
+def check_config(seed: int, count: int) -> tuple[str, list[str]]:
+    """parse_config's exact message for each rule of CONFIG_REJECTIONS."""
+    failures = []
+    if parse_config(json.loads(json.dumps(FULL_CONFIG))) is None:
+        failures.append("FULL_CONFIG did not parse")
+    for rule, (edits, message) in CONFIG_REJECTIONS.items():
+        try:
+            parse_config(json.loads(json.dumps(_edited(edits))))
+            got = "accepted"
+        except ConfigError as exc:
+            got = str(exc)
+        except Exception as exc:
+            got = f"raised {type(exc).__name__}: {exc}"
+        if got != message:
+            failures.append(f"{rule}: {got!r}, want {message!r}")
+    return f"{len(CONFIG_REJECTIONS)} rules", failures
+
+
 # each subcommand with the sweep parameters it does not read
 UNREAD_SWEEPS = {
     "transform": ("cutoff", "grid_n"),
@@ -924,6 +1107,7 @@ CHECKS = {
     "json": check_json,
     "csv": check_csv,
     "malformed files": check_malformed_files,
+    "config": check_config,
     "runs": check_runs,
 }
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vacmom
-from conftest import XHAT, YHAT, diagonal, neg, norm, transpose
+from conftest import XHAT, YHAT, diagonal, neg, norm, scale, transpose
 from vacmom import (
     BilinearSums,
     Bilinears,
@@ -146,7 +146,7 @@ def test_vec3_arithmetic():
     b = Vec3(0.5, -1.0, 2.0)
     assert a + b == Vec3(1.5, 1.0, 5.0)
     assert a - b == Vec3(0.5, 3.0, 1.0)
-    assert a.scale(2.0) == Vec3(2.0, 4.0, 6.0)
+    assert scale(a, 2.0) == Vec3(2.0, 4.0, 6.0)
     assert neg(a) == Vec3(-1.0, -2.0, -3.0)
     assert math.isclose(norm(Vec3(3.0, 4.0, 0.0)), 5.0, rel_tol=1e-15)
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -21,10 +22,21 @@ from hypothesis import strategies as st
 
 import vacmom.cli as cli
 import vacmom.vacuum as vacuum
-from vacmom import MAX_GRID_N, ConfigError, EmptyModeSet, Vec3, parse_config
-from vacmom.config import load_config
+from vacmom import (
+    MAX_GRID_N,
+    BoostSpec,
+    ConfigError,
+    EmptyModeSet,
+    Mat3,
+    Material,
+    Vec3,
+    parse_config,
+)
+from vacmom.config import RunConfig, SweepSpec, load_config
 
+import record_reference
 from conftest import src_env
+from record_reference import outcome, wide
 from portable_checks import (
     BROKEN_LINES,
     CROSSED_FIELDS,
@@ -220,6 +232,48 @@ def test_transform_degenerate_boost_exit_code(tmp_path, capsys):
     rc, out, err = run_cli(capsys, ["transform", path, "--beta", "-0.6"])
     assert rc == 3
     assert "degenerate boost" in err
+
+
+def test_transform_rows_are_the_record_form(monkeypatch):
+    """cmd_transform's plain-float rows are the repr, or the exception
+    type and message, of rows built from transform_constants and
+    index_of, over constants from 1e-300 to 1e300 and betas that are
+    valid, degenerate, out of range or not finite."""
+    written = []
+    monkeypatch.setattr(cli, "_emit", lambda cfg, args, rows: written.append(rows))
+
+    def rows(cfg):
+        written.clear()
+        cli.cmd_transform(cfg, None)
+        return written[0]
+
+    rng = random.Random(28)
+    kinds = set()
+    chi = Mat3.zero()
+    for _ in range(3000):
+        m = Material(abs(wide(rng)) or 1.0, abs(wide(rng)) or 1.0, chi, 1.0)
+        betas = [
+            rng.choice(
+                (
+                    rng.uniform(-1.0, 1.0),
+                    wide(rng),
+                    # 1 + n beta = 0 where n > 1
+                    -1.0 / max(m.index, 1.0),
+                    1.0,
+                    math.nan,
+                    -math.inf,
+                )
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        if len(betas) == 1 and abs(betas[0]) < 1.0 and rng.randrange(2):
+            cfg = RunConfig(m, BoostSpec(betas[0]), None, None, None)
+        else:
+            cfg = RunConfig(m, None, None, None, SweepSpec("beta", tuple(betas)))
+        got = outcome(rows, cfg)
+        assert got == outcome(record_reference.transform_rows, m, betas)
+        kinds.add(got.partition(":")[0] if got[0].isalpha() else "rows")
+    assert kinds == {"rows", "ConfigError", "DegenerateBoost", "NonFiniteResult"}
 
 
 def test_beta_override_replaces_config_boost(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, transpose
+from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, scale, transpose
 from test_relativity import _vector_form
 from vacmom import (
     ZHAT,
@@ -155,7 +155,7 @@ def test_breakdown_bilinearity_piecewise():
         s = float(rng.uniform(0.1, 10.0))
         b = BoostSpec(beta)
         base = me_density_first_order(m, f, b)
-        scaled_e = me_density_first_order(m, FieldState(f.E.scale(s), f.B), b)
+        scaled_e = me_density_first_order(m, FieldState(scale(f.E, s), f.B), b)
         # zeroth and mu_correction are linear in E
         assert math.isclose(scaled_e.zeroth, s * base.zeroth, rel_tol=1e-12, abs_tol=1e-300)
         assert math.isclose(
@@ -167,10 +167,10 @@ def test_breakdown_bilinearity_piecewise():
         b_part = me_density_first_order(m, FieldState(zero, f.B), b).mixing
         e_part = me_density_first_order(m, FieldState(f.E, zero), b).mixing
         b_part_scaled = me_density_first_order(
-            m, FieldState(zero, f.B.scale(s)), b
+            m, FieldState(zero, scale(f.B, s)), b
         ).mixing
         e_part_scaled = me_density_first_order(
-            m, FieldState(f.E.scale(s), zero), b
+            m, FieldState(scale(f.E, s), zero), b
         ).mixing
         assert math.isclose(b_part_scaled, s * s * b_part, rel_tol=1e-12, abs_tol=1e-300)
         assert math.isclose(e_part_scaled, s * s * e_part, rel_tol=1e-12, abs_tol=1e-300)
@@ -336,11 +336,11 @@ def _expansion_cases():
             m = Material(float(rng.uniform(2.5e11, 1e14)) / m.mu, m.mu, m.chi, 1.0)
         elif kind == 4:
             s = 10.0 ** float(rng.uniform(-150.0, 150.0))
-            f = FieldState(f.E.scale(s), f.B.scale(s))
+            f = FieldState(scale(f.E, s), scale(f.B, s))
         elif kind == 5:
             # past 1e154 the field bilinears overflow; at 1e308 chi^T E does
             s = (1e200, 1e308)[i % 2]
-            f = FieldState(f.E.scale(s), f.B.scale(s))
+            f = FieldState(scale(f.E, s), scale(f.B, s))
         elif kind == 6:
             # eps mu underflows to 0, so 1/n has no value
             m = Material(4.4e-289, 4.1e-68, m.chi, 1.0)

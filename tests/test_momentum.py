@@ -1,12 +1,15 @@
 """Medium-velocity assembly, term attribution, and the consistency check."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, neg, transpose
+import record_reference
+from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, neg, scale, transpose
+from record_reference import outcome, wide
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
     BilinearSums,
@@ -97,10 +100,45 @@ def test_rhs_recomposes_from_terms_bitwise():
         res = medium_velocity(m, f)
         total = res.abraham_minkowski_term + res.chi_E_term + res.chi_B_term
         total = total + Vec3(0.0, 0.0, res.mu_term_z)
-        assert res.rhs_vector == total.scale(1.0 / m.rho0)
+        assert res.rhs_vector == scale(total, 1.0 / m.rho0)
         assert res.v_z == res.rhs_vector.z
         r = res.rhs_vector
         assert res.transverse_residual == (r.x * r.x + r.y * r.y) ** 0.5
+
+
+def test_plain_float_velocity_is_the_record_form():
+    """medium_velocity and velocity_from_bilinears give the repr, or the
+    exception type and message, of the record-built forms, at values
+    from 1e-300 to 1e300 and signed zeros."""
+    rng = random.Random(28)
+    kinds = set()
+
+    def vec3():
+        return Vec3(wide(rng), wide(rng), wide(rng))
+
+    for _ in range(3000):
+        m = Material(
+            abs(wide(rng)) or 1.0,
+            abs(wide(rng)) or 1.0,
+            Mat3(*(wide(rng) for _ in range(9))),
+            abs(wide(rng)) or 1.0,
+        )
+        f = FieldState(vec3(), vec3())
+        got = outcome(medium_velocity, m, f)
+        assert got == outcome(record_reference.medium_velocity, m, f)
+        bilinears = Bilinears(vec3(), vec3(), vec3(), wide(rng))
+        got_b = outcome(velocity_from_bilinears, m, bilinears)
+        assert got_b == outcome(record_reference.velocity_from_bilinears, m, bilinears)
+        for text in (got, got_b):
+            kinds.add(text.partition(" at ")[0] if text.startswith("NonFinite") else "result")
+    # every outcome was drawn: a result and each message
+    assert kinds == {
+        "result",
+        "NonFiniteResult: field bilinears leave the float range",
+        "NonFiniteResult: velocity terms leave the float range",
+        "NonFiniteResult: velocity leaves the float range",
+        "NonFiniteResult: the index n = sqrt(epsilon mu) underflows to 0",
+    }
 
 
 def test_unit_index_kills_mu_term():
@@ -116,7 +154,7 @@ def test_field_scaling_is_quadratic():
         m, f = draw_config(rng)
         s = float(rng.uniform(0.1, 10.0))
         base = medium_velocity(m, f)
-        scaled = medium_velocity(m, FieldState(f.E.scale(s), f.B.scale(s)))
+        scaled = medium_velocity(m, FieldState(scale(f.E, s), scale(f.B, s)))
         assert math.isclose(scaled.v_z, s * s * base.v_z, rel_tol=1e-12, abs_tol=1e-300)
         assert math.isclose(
             scaled.mu_term_z, s * s * base.mu_term_z, rel_tol=1e-12, abs_tol=1e-300
@@ -140,7 +178,7 @@ def test_mu_term_invariant_under_rotation_about_flow_axis():
 def test_axial_fields_leave_only_mu_term():
     # E and B along z with diagonal chi: every cross product vanishes
     m = Material(2.25, 1.0, diagonal(0.1, 0.2, 0.3), 1.0)
-    f = FieldState(ZHAT.scale(0.5), ZHAT.scale(2.0))
+    f = FieldState(scale(ZHAT, 0.5), scale(ZHAT, 2.0))
     res = medium_velocity(m, f)
     assert res.abraham_minkowski_term == Vec3(0.0, 0.0, 0.0)
     assert res.chi_E_term == Vec3(0.0, 0.0, 0.0)
@@ -190,7 +228,7 @@ def test_consistency_check_small_on_seeded_configs():
 def test_consistency_check_scales_quadratically_with_fields():
     m, f = draw_config(make_rng(3))
     a = lagrangian_consistency_check(m, f)
-    b = lagrangian_consistency_check(m, FieldState(f.E.scale(10.0), f.B.scale(10.0)))
+    b = lagrangian_consistency_check(m, FieldState(scale(f.E, 10.0), scale(f.B, 10.0)))
     # the residual is roundoff on a quadratic-in-fields quantity
     assert b <= 200.0 * a + 1e-25
 
@@ -303,7 +341,7 @@ _UNIT_CHI = Material(2.25, 1.0, diagonal(1.0, 1.0, 1.0), 1.0)
             "velocity leaves the float range at rho0=1e-320",
         ),
         (
-            lambda: medium_velocity(M_GOLDEN, FieldState(XHAT.scale(1e200), YHAT.scale(1e200))),
+            lambda: medium_velocity(M_GOLDEN, FieldState(scale(XHAT, 1e200), scale(YHAT, 1e200))),
             "field bilinears leave the float range at"
             " fields.E=[1e+200, 0.0, 0.0], fields.B=[0.0, 1e+200, 0.0]",
         ),

@@ -81,7 +81,7 @@ def test_every_public_method_and_property_is_used_or_documented():
     ]
     members = {f"{cls.__name__}.{name}": name for cls in classes for name in _public_members(cls)}
     # the rule must see the methods and properties there are
-    assert {"Vec3.scale", "Material.index", "ModeSet.mode_count"} <= set(members)
+    assert {"Vec3.as_tuple", "Mat3.zero", "Material.index"} <= set(members)
     unused = [
         qualified
         for qualified, name in members.items()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import YHAT
+from conftest import YHAT, scale
 from moving_medium_reference import lab_fields, moving_constants
 from vacmom import (
     BoostSpec,
@@ -40,8 +40,8 @@ def _vector_form(f, beta, order):
     e_par, e_perp = Vec3(0.0, 0.0, f.E.z), Vec3(f.E.x, f.E.y, 0.0)
     b_par, b_perp = Vec3(0.0, 0.0, f.B.z), Vec3(f.B.x, f.B.y, 0.0)
     return FieldState(
-        e_par + (e_perp + cross(bvec, f.B)).scale(gamma),
-        b_par + (b_perp - cross(bvec, f.E)).scale(gamma),
+        e_par + scale(e_perp + cross(bvec, f.B), gamma),
+        b_par + scale(b_perp - cross(bvec, f.E), gamma),
     )
 
 

@@ -1,5 +1,8 @@
-"""The example scripts and the README quick tour run to completion."""
+"""The example scripts and the README quick tour run to completion, and
+the README's vacuum-sweep example is what the CLI writes."""
 
+import csv
+import io
 import re
 import subprocess
 import sys
@@ -7,11 +10,10 @@ import sys
 import pytest
 
 from conftest import ROOT, src_env
+from vacmom import cli
 
 
-@pytest.mark.parametrize(
-    "script", ["expansion_order_scan.py", "momentum_report.py", "vacuum_cutoff_scan.py"]
-)
+@pytest.mark.parametrize("script", ["expansion_order_scan.py", "momentum_report.py"])
 def test_script_runs_with_defaults(script):
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
@@ -35,3 +37,18 @@ def test_readme_quick_tour_runs():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_vacuum_sweep_example_is_what_the_cli_writes(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    config, table = re.search(
+        r"With this `uv.json`,\n\n```json\n(.*?)^```$.*?^```\n(.*?)^```$",
+        readme,
+        re.DOTALL | re.MULTILINE,
+    ).groups()
+    path = tmp_path / "uv.json"
+    path.write_text(config, encoding="utf-8")
+    assert cli.main(["vacuum-sweep", str(path)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    header, *lines = table.splitlines()
+    assert [",".join(row[c] for c in header.split(",")) for row in rows] == lines

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import norm
+from conftest import norm, scale
 from polarization_reference import (
     amplitude,
     cell_centres,
@@ -52,6 +52,11 @@ M_SIGNED_ZEROS = Material(
 )
 
 
+def mode_count(ms):
+    """The modes a ModeSet stands for: four per +/-k pair, count pairs per entry."""
+    return 4 * sum(entry[3] for entry in ms.orbits)
+
+
 def assert_sums_match(got, want, m, a2):
     """Channel by channel within 1e-12 of the channel's natural scale."""
     chi_scale = a2 * max(map(abs, m.chi))
@@ -79,7 +84,7 @@ def test_minimal_grid_geometry():
     # 8 octant cell centers, all inside the sphere, in 4 +/-k pairs of
     # two polarizations each
     assert len(pairs(ms)) == 4
-    assert ms.mode_count == 16
+    assert mode_count(ms) == 16
     kmags = {math.hypot(*k) for k in pairs(ms)}
     assert len(kmags) == 1
     (kmag,) = kmags
@@ -102,7 +107,7 @@ def test_wavevectors_come_in_exact_opposite_pairs():
         grid = cell_centres(grid_n, CUTOFF)
         assert kset | negated == set(grid)
         # two polarization modes per cell
-        assert ms.mode_count == 2 * len(grid)
+        assert mode_count(ms) == 2 * len(grid)
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,7 +155,7 @@ def test_lattice_times_the_step_is_the_float_filtered_grid(grid_n):
         assert got == set(want)
         # an octant cell with j zero coordinates stands for 2**(3 - j)
         # cells, two modes each
-        assert ms.mode_count == 2 * sum(8 >> k.count(0.0) for k in want)
+        assert mode_count(ms) == 2 * sum(8 >> k.count(0.0) for k in want)
 
 
 def test_one_lattice_is_cached_for_the_last_grid_n():
@@ -189,9 +194,9 @@ def test_modes_are_grouped_by_wavevector():
     # two polarization modes at each of k and -k per pair, each pair
     # listed once
     ms = build_mode_set(M_COUPLED, 4, CUTOFF, 1.0)
-    assert ms.mode_count == 4 * len(pairs(ms))
+    assert mode_count(ms) == 4 * len(pairs(ms))
     assert len(set(pairs(ms))) == len(pairs(ms))
-    assert vacuum_bilinears(ms, M_COUPLED).mode_count == ms.mode_count
+    assert vacuum_bilinears(ms, M_COUPLED).mode_count == mode_count(ms)
 
 
 def test_mode_invariants():
@@ -203,7 +208,7 @@ def test_mode_invariants():
         kmag = math.hypot(*k)
         assert kmag <= CUTOFF
         assert kmag > 0.0
-        khat = Vec3(*k).scale(1.0 / kmag)
+        khat = scale(Vec3(*k), 1.0 / kmag)
         want_amp = math.sqrt(2.0 * math.pi * HBAR * (C_LIGHT * kmag / n) / volume)
         pair = modes(k, m, volume)
         for mode in pair:
@@ -223,7 +228,7 @@ def test_odd_grid_excludes_origin_and_covers_axial_reference_branch():
     # 27 centers, minus the origin, minus the 8 corner diagonals outside
     # the sphere, leaves 18 wavevectors in 9 pairs
     assert len(pairs(ms)) == 9
-    assert ms.mode_count == 36
+    assert mode_count(ms) == 36
     assert all(math.hypot(*k) > 0.0 for k in pairs(ms))
     axial = [k for k in pairs(ms) if abs(k[2]) / math.hypot(*k) > 0.9]
     assert axial
@@ -284,7 +289,7 @@ def test_per_mode_poynting_is_longitudinal():
         for mode in modes(k, m, 1.0):
             khat = mode.khat
             s = cross(mode.E, mode.B)
-            transverse = s - khat.scale(dot(s, khat))
+            transverse = s - scale(khat, dot(s, khat))
             assert norm(transverse) <= 1e-12 * norm(s)
 
 
