@@ -30,8 +30,8 @@ _EXPORTS = {
     "momentum": "Bilinears VelocityResult lagrangian_consistency_check medium_velocity"
     " term_ratio_of velocity_from_bilinears",
     "relativity": "TransformedConstants index_of transform_constants transform_fields",
-    "vacuum": "MAGNITUDE_CHANNELS BilinearSums ModeSet build_mode_set cutoff_sweep"
-    " scaling_slopes vacuum_bilinears",
+    "vacuum": "MAGNITUDE_CHANNELS BilinearSums ModeSet SweepSums build_mode_set"
+    " cutoff_sweep scaling_slopes sweep_sums vacuum_bilinears",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

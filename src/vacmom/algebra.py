@@ -51,9 +51,6 @@ class Vec3(_checked("Vec3", "x y z")):
             _require_finite("Vec3 component", x, y, z)
         return _new(cls, (x, y, z))
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 

@@ -51,6 +51,7 @@ from .vacuum import (
     build_mode_set,
     cutoff_sweep,
     scaling_slopes,
+    sweep_sums,
     vacuum_bilinears,
 )
 
@@ -325,7 +326,7 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
         except ValueError as exc:
             raise ConfigError(f"sweep.values: {exc}") from exc
         entries = [
-            (grid_n, vacuum_bilinears(build_mode_set(m, grid_n, vac.cutoff, vac.volume), m))
+            (grid_n, sweep_sums(build_mode_set(m, grid_n, vac.cutoff, vac.volume), m))
             for grid_n in grids
         ]
         slopes = dict.fromkeys(MAGNITUDE_CHANNELS)
@@ -336,10 +337,11 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
             ("sweep_value", value),
             ("mode_count", sums.mode_count),
             ("zero_point_energy", sums.zero_point_energy),
-            ("e_cross_b_z", sums.e_cross_b.z),
-            ("e_cross_chiT_e_z", sums.e_cross_chiT_e.z),
-            ("b_cross_chi_b_z", sums.b_cross_chi_b.z),
-            ("b_dot_chiT_e", sums.b_dot_chiT_e),
+            # the odd channels are exactly 0
+            ("e_cross_b_z", 0.0),
+            ("e_cross_chiT_e_z", sums.e_cross_chiT_e_z),
+            ("b_cross_chi_b_z", sums.b_cross_chi_b_z),
+            ("b_dot_chiT_e", 0.0),
             *((name, getattr(sums, name)) for name in MAGNITUDE_CHANNELS),
             *((f"slope_{name}", slopes[name]) for name in MAGNITUDE_CHANNELS),
         )

@@ -66,18 +66,22 @@ math.hypot takes |x| of each coordinate, so all pairs of an orbit get
 the same |k| (and the cutoff filter keeps or drops an orbit whole);
 negation commutes exactly with * and /, so the products at a negated
 component are the negated products; and p + (-q) is exactly p - q.
-The signed terms of each pair are packed once, and |E x chi^T E| and
-|B x chi B| are taken after the loop with math.hypot of those packed
-components. A value that is the same on all pairs of an orbit,
-|E x B| or hbar c |k| / n, is entered once per pair, never as a
-multiple of itself, so every channel holds exactly the terms of a
-pair-by-pair sum.
+Each pair's signed terms are formed once, and |E x chi^T E| and
+|B x chi B| are math.hypot of those same floats, taken in the loop. A
+value that is the same on all pairs of an orbit, |E x B| or
+hbar c |k| / n, is entered once per orbit weighted by its count: count v
+is exact for a count of 1, 2 or 4, and a count of 3 enters as 2 v and v.
+fsum is exactly rounded, so every channel is bit for bit what a
+pair-by-pair sum gives, and where count v overflows, so does that sum.
 
 Alongside the four signed sums we track per-wavevector magnitude
 channels (sum over k of |per-k polarization-summed bilinear|). These
 are what grows with the cutoff and what the scaling diagnostics fit.
 The velocity equation reads only the signed sums, so a caller can ask
-for those alone and skip the magnitudes and the zero-point energy.
+for those alone and skip the magnitudes and the zero-point energy. A
+vacuum-sweep row reads the magnitudes, the energy and only the z
+components of the chi cross products: sweep_sums sums those alone and
+never packs or sums an x or y component.
 A sum that leaves the float range raises NonFiniteResult.
 """
 
@@ -143,6 +147,25 @@ class BilinearSums:
     abs_b_dot_chiT_e: float | None
     mode_count: int
     zero_point_energy: float | None
+
+
+class SweepSums(
+    namedtuple(
+        "SweepSums",
+        "mode_count zero_point_energy e_cross_chiT_e_z b_cross_chi_b_z"
+        " abs_e_cross_b abs_e_cross_chiT_e abs_b_cross_chi_b abs_b_dot_chiT_e",
+    )
+):
+    """The vacuum sums one vacuum-sweep row prints, as sweep_sums returns them.
+
+    e_cross_chiT_e_z and b_cross_chi_b_z are the z components of the
+    signed sums, the abs_* fields the magnitude channels and
+    zero_point_energy sum hbar omega / 2 in erg, each bit for bit the
+    same field of the default BilinearSums. The odd channels, exactly 0,
+    are not held.
+    """
+
+    __slots__ = ()
 
 
 def build_mode_set(m: Material, grid_n: int, cutoff: float, volume: float) -> ModeSet:
@@ -225,6 +248,46 @@ def vacuum_bilinears(
     NonFiniteResult if a computed sum leaves the float range, or
     if n V underflows to 0, which leaves the amplitude undefined.
     """
+    pairs, sums = _sums(ms, m, True, magnitudes)
+    if magnitudes:
+        abs_ex, abs_bx, abs_bce, abs_exb, zpe = sums[6:]
+    else:
+        abs_ex = abs_bx = abs_bce = abs_exb = zpe = None
+    return BilinearSums(
+        e_cross_b=ZERO3,
+        e_cross_chiT_e=Vec3(*sums[0:3]),
+        b_cross_chi_b=Vec3(*sums[3:6]),
+        b_dot_chiT_e=0.0,
+        abs_e_cross_b=abs_exb,
+        abs_e_cross_chiT_e=abs_ex,
+        abs_b_cross_chi_b=abs_bx,
+        abs_b_dot_chiT_e=abs_bce,
+        mode_count=4 * pairs,
+        zero_point_energy=zpe,
+    )
+
+
+def sweep_sums(ms: ModeSet, m: Material) -> SweepSums:
+    """The channels of one vacuum-sweep row, summed over all zero-point modes.
+
+    Each field is bit for bit the field of the same name, or the z
+    component, of the default vacuum_bilinears(ms, m). The x and y
+    components of the chi cross products are neither packed nor summed.
+    Raises what the default vacuum_bilinears(ms, m) raises, with the
+    same message.
+    """
+    pairs, (ez, bz, abs_ex, abs_bx, abs_bce, abs_exb, zpe) = _sums(ms, m, False, True)
+    return SweepSums(4 * pairs, zpe, ez, bz, abs_exb, abs_ex, abs_bx, abs_bce)
+
+
+def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
+    """One pass over the orbits of ms: the pair count and the doubled sums.
+
+    With signed, the sums start with the x, y and z components of
+    E x chi^T E and of B x chi B. With magnitudes, these follow: the z
+    components of both unless signed gave them, |E x chi^T E|,
+    |B x chi B|, |B . chi^T E|, |E x B| and the zero-point energy.
+    """
     if not ms.orbits:
         raise EmptyModeSet("mode set is empty")
     n = m.index
@@ -242,12 +305,12 @@ def vacuum_bilinears(
     two_n = 2.0 * n
     hypot = math.hypot
 
-    # each pair's signed terms, e_cross_chiT_e then b_cross_chi_b, are
-    # packed once; with magnitudes, |E x B|, |B . chi^T E| and hbar c |k| / n
-    # go into a second buffer, and |E x chi^T E| and |B x chi B| are taken
-    # after the loop with hypot of the packed signed components
-    pack, pack_magnitudes = Struct("24d").pack, Struct("12d").pack
-    signed, unsigned = bytearray(), bytearray()
+    # with signed, each pair's six signed terms; with magnitudes, each
+    # pair's e_z, b_z, |E x chi^T E|, |B x chi B| and |B . chi^T E|, and
+    # each orbit's |E x B| and hbar c |k| / n, which are the same on all
+    # its pairs, weighted by its count
+    pack_signed, pack_pairs, pack_orbit = Struct("24d").pack, Struct("20d").pack, Struct("2d").pack
+    signed_terms, pair_terms, orbit_terms = bytearray(), bytearray(), bytearray()
     step = ms.step
     for x, y, z, count in ms.orbits:
         kx, ky, kz = x * step, y * step, z * step
@@ -286,86 +349,89 @@ def vacuum_bilinears(
         s1z, s2z = f + r, f - r
         s3z, s4z = g + r, g - r
         minus_n2a2 = minus_n2 * a2
-        signed += pack(
-            a2 * (ax - (uy * t1z - uz * t1y)),
-            a2 * (ay - (uz * t1x - ux * t1z)),
-            a2 * (az - (ux * t1y - uy * t1x)),
-            minus_n2a2 * (ax + (uy * s1z - uz * s1y)),
-            minus_n2a2 * (ay + (uz * s1x - ux * s1z)),
-            minus_n2a2 * (az + (ux * s1y - uy * s1x)),
-            a2 * (ax - (uy * t2z - vz * t2y)),
-            a2 * (ay - (vz * t2x - ux * t2z)),
-            a2 * (az - (ux * t2y - uy * t2x)),
-            minus_n2a2 * (ax + (uy * s2z - vz * s2y)),
-            minus_n2a2 * (ay + (vz * s2x - ux * s2z)),
-            minus_n2a2 * (az + (ux * s2y - uy * s2x)),
-            a2 * (ax - (vy * t3z - uz * t3y)),
-            a2 * (ay - (uz * t3x - ux * t3z)),
-            a2 * (az - (ux * t3y - vy * t3x)),
-            minus_n2a2 * (ax + (vy * s3z - uz * s3y)),
-            minus_n2a2 * (ay + (uz * s3x - ux * s3z)),
-            minus_n2a2 * (az + (ux * s3y - vy * s3x)),
-            a2 * (ax - (vy * t4z - vz * t4y)),
-            a2 * (ay - (vz * t4x - ux * t4z)),
-            a2 * (az - (ux * t4y - vy * t4x)),
-            minus_n2a2 * (ax + (vy * s4z - vz * s4y)),
-            minus_n2a2 * (ay + (vz * s4x - ux * s4z)),
-            minus_n2a2 * (az + (ux * s4y - vy * s4x)),
-        )
+        e1x = a2 * (ax - (uy * t1z - uz * t1y))
+        e1y = a2 * (ay - (uz * t1x - ux * t1z))
+        e1z = a2 * (az - (ux * t1y - uy * t1x))
+        b1x = minus_n2a2 * (ax + (uy * s1z - uz * s1y))
+        b1y = minus_n2a2 * (ay + (uz * s1x - ux * s1z))
+        b1z = minus_n2a2 * (az + (ux * s1y - uy * s1x))
+        e2x = a2 * (ax - (uy * t2z - vz * t2y))
+        e2y = a2 * (ay - (vz * t2x - ux * t2z))
+        e2z = a2 * (az - (ux * t2y - uy * t2x))
+        b2x = minus_n2a2 * (ax + (uy * s2z - vz * s2y))
+        b2y = minus_n2a2 * (ay + (vz * s2x - ux * s2z))
+        b2z = minus_n2a2 * (az + (ux * s2y - uy * s2x))
+        e3x = a2 * (ax - (vy * t3z - uz * t3y))
+        e3y = a2 * (ay - (uz * t3x - ux * t3z))
+        e3z = a2 * (az - (ux * t3y - vy * t3x))
+        b3x = minus_n2a2 * (ax + (vy * s3z - uz * s3y))
+        b3y = minus_n2a2 * (ay + (uz * s3x - ux * s3z))
+        b3z = minus_n2a2 * (az + (ux * s3y - vy * s3x))
+        e4x = a2 * (ax - (vy * t4z - vz * t4y))
+        e4y = a2 * (ay - (vz * t4x - ux * t4z))
+        e4z = a2 * (az - (ux * t4y - vy * t4x))
+        b4x = minus_n2a2 * (ax + (vy * s4z - vz * s4y))
+        b4y = minus_n2a2 * (ay + (vz * s4x - ux * s4z))
+        b4z = minus_n2a2 * (az + (ux * s4y - vy * s4x))
+        if signed:
+            signed_terms += pack_signed(
+                e1x, e1y, e1z, b1x, b1y, b1z, e2x, e2y, e2z, b2x, b2y, b2z,
+                e3x, e3y, e3z, b3x, b3y, b3z, e4x, e4y, e4z, b4x, b4y, b4z,
+            )
         if magnitudes:
-            # |E x B| and hbar c |k| / n: equal on all four members, entered per pair
-            two_na2 = two_n * a2
-            exb = hypot(two_na2 * ux, two_na2 * uy, two_na2 * uz)
-            zpe = zpe_per_k * k
             na2 = n * a2
             p, q, r = ux * ax, uy * ay, uz * az
             f, g = p + q, p - q
-            unsigned += pack_magnitudes(
-                exb, abs(na2 * (f + r)), zpe, exb, abs(na2 * (f - r)), zpe,
-                exb, abs(na2 * (g + r)), zpe, exb, abs(na2 * (g - r)), zpe,
+            pair_terms += pack_pairs(
+                e1z, b1z, hypot(e1x, e1y, e1z), hypot(b1x, b1y, b1z), abs(na2 * (f + r)),
+                e2z, b2z, hypot(e2x, e2y, e2z), hypot(b2x, b2y, b2z), abs(na2 * (f - r)),
+                e3z, b3z, hypot(e3x, e3y, e3z), hypot(b3x, b3y, b3z), abs(na2 * (g + r)),
+                e4z, b4z, hypot(e4x, e4y, e4z), hypot(b4x, b4y, b4z), abs(na2 * (g - r)),
             )
+            two_na2 = two_n * a2
+            exb = hypot(two_na2 * ux, two_na2 * uy, two_na2 * uz)
+            zpe = zpe_per_k * k
+            # count v is exact for a count of 1, 2 or 4, and 3 v is not
+            if count == 3:
+                orbit_terms += pack_orbit(2.0 * exb, 2.0 * zpe)
+                orbit_terms += pack_orbit(exb, zpe)
+            else:
+                orbit_terms += pack_orbit(count * exb, count * zpe)
         if count != 4:
             if not 0 < count < 4:
                 raise ValueError(f"orbit count must be 1 to 4, got {(x, y, z, count)!r}")
             # keep the records of the orbit's count distinct pairs
-            del signed[48 * (count - 4) :]
-            del unsigned[24 * (count - 4) :]
+            del signed_terms[48 * (count - 4) :]
+            del pair_terms[40 * (count - 4) :]
 
     # the odd channels are exactly 0 whatever the size of their terms;
     # with magnitudes, a non-finite odd term also makes its magnitude
-    # channel non-finite, so the checks below cover every channel computed
+    # channel non-finite, so the checks below cover every channel computed.
+    # Without signed they raise where they would with it: each x or y term
+    # is at most its pair's hypot term, so where the x or y sum would
+    # overflow, the magnitude sum does too
     overflow = (
         f"zero-point sums leave the float range at cutoff={ms.cutoff!r},"
         f" volume={ms.volume!r}"
     )
-    terms = memoryview(signed).cast("d")
+    fsum = math.fsum
     try:
-        sums = [2.0 * math.fsum(terms[i::6]) for i in range(6)]
+        sums = []
+        if signed:
+            terms = memoryview(signed_terms).cast("d")
+            sums += (2.0 * fsum(terms[i::6]) for i in range(6))
         if magnitudes:
-            sums += (
-                2.0 * math.fsum(map(hypot, terms[0::6], terms[1::6], terms[2::6])),
-                2.0 * math.fsum(map(hypot, terms[3::6], terms[4::6], terms[5::6])),
-            )
-            values = memoryview(unsigned).cast("d")
-            sums += (2.0 * math.fsum(values[i::3]) for i in range(3))
+            terms = memoryview(pair_terms).cast("d")
+            sums += (2.0 * fsum(terms[i::5]) for i in range(2 if signed else 0, 5))
+            terms = memoryview(orbit_terms).cast("d")
+            sums += (2.0 * fsum(terms[i::2]) for i in range(2))
     except (OverflowError, ValueError) as exc:  # overflow, or inf - inf
         raise NonFiniteResult(overflow) from exc
     if not all(map(math.isfinite, sums)):
         raise NonFiniteResult(overflow)
-    abs_ex, abs_bx, abs_exb, abs_bce, zpe = sums[6:] if magnitudes else [None] * 5
-    return BilinearSums(
-        e_cross_b=ZERO3,
-        e_cross_chiT_e=Vec3(*sums[0:3]),
-        b_cross_chi_b=Vec3(*sums[3:6]),
-        b_dot_chiT_e=0.0,
-        abs_e_cross_b=abs_exb,
-        abs_e_cross_chiT_e=abs_ex,
-        abs_b_cross_chi_b=abs_bx,
-        abs_b_dot_chiT_e=abs_bce,
-        # one 48-byte record per pair survives the loop
-        mode_count=4 * (len(signed) // 48),
-        zero_point_energy=zpe,
-    )
+    # one record per pair survives the loop
+    pairs = len(signed_terms) // 48 if signed else len(pair_terms) // 40
+    return pairs, sums
 
 
 def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
@@ -377,7 +443,8 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     is an integer: [2e4, 6.3e4, 2e5] at grid_n 8 gives 8, 25 and 80
     cells and steps of 5,000, 5,040 and 5,000 rad/cm. The sweep so
     probes the ultraviolet growth rather than discretization changes.
-    Returns a list of (cutoff, BilinearSums).
+    Returns a list of (cutoff, SweepSums), each record the sweep_sums of
+    that cutoff's mode set.
     Raises ValueError before building any grid if grid_n is not an int
     in [2, MAX_GRID_N], if a cutoff is not finite and > 0, if the
     cutoffs do not ascend, or if the largest scaled grid_n exceeds
@@ -403,14 +470,16 @@ def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):
     out = []
     for c, size in zip(cuts, sizes):
         ms = build_mode_set(m, round(size), c, volume)
-        out.append((c, vacuum_bilinears(ms, m)))
+        out.append((c, sweep_sums(ms, m)))
     return out
 
 
 def scaling_slopes(sweep) -> dict[str, float]:
     """Log-log growth exponents of each magnitude channel over a sweep.
 
-    Takes the output of cutoff_sweep. A channel gets nan where its
+    Takes the output of cutoff_sweep, or any list of (cutoff, record)
+    whose records hold the MAGNITUDE_CHANNELS by name, as SweepSums and
+    a default BilinearSums do. A channel gets nan where its
     slope is undefined: fewer than two cutoffs where it is nonzero, or
     only one distinct cutoff among them.
     """

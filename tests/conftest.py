@@ -5,7 +5,7 @@ acceptance tests draw their configuration samples through these exact
 calls (numpy default_rng, draw order epsilon, mu, chi, E, B), so the
 sampled configurations are reproducible byte for byte.
 
-The basis vectors, norm, negation, scaling, diagonal matrices and the transpose
+The basis vectors, norm, sum, negation, scaling, diagonal matrices and the transpose
 below are used by the tests only, so they live here rather than in the
 library.
 """
@@ -26,6 +26,15 @@ YHAT = Vec3(0.0, 1.0, 0.0)
 
 def norm(v: Vec3) -> float:
     return math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+
+
+def add(first: Vec3, *rest: Vec3) -> Vec3:
+    """The sum first + rest[0] + ..., taken left to right component-wise,
+    each partial sum a Vec3 that rejects a non-finite component."""
+    total = first
+    for v in rest:
+        total = Vec3(total.x + v.x, total.y + v.y, total.z + v.z)
+    return total
 
 
 def neg(v: Vec3) -> Vec3:

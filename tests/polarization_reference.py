@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from conftest import XHAT, norm, scale, transpose
+from conftest import XHAT, add, norm, scale, transpose
 from vacmom import BilinearSums, Material, ModeSet, Vec3, ZHAT, cross, dot, mat_apply
 from vacmom.constants import C_LIGHT, HBAR
 
@@ -47,7 +47,7 @@ def polarization_pair(khat: Vec3, theta: float = 0.0) -> tuple[Vec3, Vec3]:
     e2 = cross(khat, e1)
     if theta:
         c, s = math.cos(theta), math.sin(theta)
-        e1, e2 = scale(e1, c) + scale(e2, s), scale(e2, c) - scale(e1, s)
+        e1, e2 = add(scale(e1, c), scale(e2, s)), scale(e2, c) - scale(e1, s)
     return e1, e2
 
 
@@ -79,9 +79,9 @@ def wavevector_bilinears(k, m: Material, volume: float, theta: float = 0.0):
     bce = 0.0
     for mode in modes(k, m, volume, theta):
         e, b = mode.E, mode.B
-        exb = exb + cross(e, b)
-        exce = exce + cross(e, mat_apply(chi_t, e))
-        bxcb = bxcb + cross(b, mat_apply(m.chi, b))
+        exb = add(exb, cross(e, b))
+        exce = add(exce, cross(e, mat_apply(chi_t, e)))
+        bxcb = add(bxcb, cross(b, mat_apply(m.chi, b)))
         bce = bce + dot(b, mat_apply(chi_t, e))
     return exb, exce, bxcb, bce
 

@@ -19,7 +19,7 @@ tests compare outcome() of each form over draws of wide().
 
 import math
 
-from conftest import scale
+from conftest import add, scale
 from vacmom import (
     Bilinears,
     BoostSpec,
@@ -51,7 +51,7 @@ def velocity_from_bilinears(m, bilinears) -> VelocityResult:
         chi_e = scale(bilinears.e_cross_chiT_e, pref)
         chi_b = scale(bilinears.b_cross_chi_b, -pref)
         mu_term_z = -pref * (n - 1.0 / n) * bilinears.b_dot_chiT_e
-        total = am + chi_e + chi_b + Vec3(0.0, 0.0, mu_term_z)
+        total = add(am, chi_e, chi_b, Vec3(0.0, 0.0, mu_term_z))
     except ValueError as exc:
         raise NonFiniteResult(
             f"velocity terms leave the float range at epsilon={m.epsilon!r},"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import record_reference
-from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, neg, scale, transpose
+from conftest import XHAT, YHAT, add, diagonal, draw_config, make_rng, neg, scale, transpose
 from record_reference import outcome, wide
 from vacmom.constants import C_LIGHT, FOUR_PI
 from vacmom import (
@@ -98,8 +98,8 @@ def test_rhs_recomposes_from_terms_bitwise():
     for _ in range(100):
         m, f = draw_config(rng)
         res = medium_velocity(m, f)
-        total = res.abraham_minkowski_term + res.chi_E_term + res.chi_B_term
-        total = total + Vec3(0.0, 0.0, res.mu_term_z)
+        total = add(res.abraham_minkowski_term, res.chi_E_term, res.chi_B_term)
+        total = add(total, Vec3(0.0, 0.0, res.mu_term_z))
         assert res.rhs_vector == scale(total, 1.0 / m.rho0)
         assert res.v_z == res.rhs_vector.z
         r = res.rhs_vector

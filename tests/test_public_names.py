@@ -105,6 +105,10 @@ def test_export_table_resolves_every_name_to_its_module():
     assert sorted(star.keys() - {"__builtins__"}) == vacmom.__all__
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         vacmom.no_such_name
+    # the vacuum layer's two sums and their records
+    assert {"BilinearSums", "SweepSums", "sweep_sums", "vacuum_bilinears"} <= set(
+        vacmom._EXPORTS["vacuum"].split()
+    )
     # submodules still import by name, as the benchmark and portable checks do
     from vacmom import cli, vacuum
 

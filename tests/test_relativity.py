@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import YHAT, scale
+from conftest import YHAT, add, scale
 from moving_medium_reference import lab_fields, moving_constants
 from vacmom import (
     BoostSpec,
@@ -35,13 +35,13 @@ def _vector_form(f, beta, order):
     zeros included; "first_order" is E + beta x B, B - beta x E."""
     bvec = Vec3(0.0, 0.0, beta)
     if order == "first_order":
-        return FieldState(f.E + cross(bvec, f.B), f.B - cross(bvec, f.E))
+        return FieldState(add(f.E, cross(bvec, f.B)), f.B - cross(bvec, f.E))
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
     e_par, e_perp = Vec3(0.0, 0.0, f.E.z), Vec3(f.E.x, f.E.y, 0.0)
     b_par, b_perp = Vec3(0.0, 0.0, f.B.z), Vec3(f.B.x, f.B.y, 0.0)
     return FieldState(
-        e_par + scale(e_perp + cross(bvec, f.B), gamma),
-        b_par + scale(b_perp - cross(bvec, f.E), gamma),
+        add(e_par, scale(add(e_perp, cross(bvec, f.B)), gamma)),
+        add(b_par, scale(b_perp - cross(bvec, f.E), gamma)),
     )
 
 

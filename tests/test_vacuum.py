@@ -29,12 +29,15 @@ from vacmom import (
     Mat3,
     Material,
     ModeSet,
+    NonFiniteResult,
+    SweepSums,
     Vec3,
     build_mode_set,
     cross,
     cutoff_sweep,
     dot,
     scaling_slopes,
+    sweep_sums,
     vacuum_bilinears,
 )
 
@@ -55,6 +58,20 @@ M_SIGNED_ZEROS = Material(
 def mode_count(ms):
     """The modes a ModeSet stands for: four per +/-k pair, count pairs per entry."""
     return 4 * sum(entry[3] for entry in ms.orbits)
+
+
+def sweep_channels(bs):
+    """The SweepSums that a default BilinearSums holds, field by field."""
+    return SweepSums(
+        mode_count=bs.mode_count,
+        zero_point_energy=bs.zero_point_energy,
+        e_cross_chiT_e_z=bs.e_cross_chiT_e.z,
+        b_cross_chi_b_z=bs.b_cross_chi_b.z,
+        abs_e_cross_b=bs.abs_e_cross_b,
+        abs_e_cross_chiT_e=bs.abs_e_cross_chiT_e,
+        abs_b_cross_chi_b=bs.abs_b_cross_chi_b,
+        abs_b_dot_chiT_e=bs.abs_b_dot_chiT_e,
+    )
 
 
 def assert_sums_match(got, want, m, a2):
@@ -400,6 +417,8 @@ def test_half_grid_sums_equal_full_grid_bitwise(grid_n, m, cutoff, volume):
     for name in (*MAGNITUDE_CHANNELS, "zero_point_energy"):
         assert getattr(fast, name) is None, name
     assert fast.mode_count == got.mode_count
+    # and a sweep row's channels alone are the same bits as well
+    assert repr(sweep_sums(ms, m)) == repr(sweep_channels(want))
 
 
 # entries of any sign, as a caller may make them; build_mode_set makes
@@ -427,6 +446,24 @@ def test_hand_made_entries_of_every_count(m, counts):
         assert repr(getattr(fast, name)) == repr(getattr(want, name)), name
     for name in (*MAGNITUDE_CHANNELS, "zero_point_energy"):
         assert getattr(fast, name) is None, name
+    assert repr(sweep_sums(ms, m)) == repr(sweep_channels(want))
+
+
+def test_an_entry_of_count_3_sums_like_its_three_pairs():
+    # 3 v rounds where 2 v and 4 v do not, so a count of 3 enters its
+    # |E x B| and energy terms as 2 v and v; beside one other entry, a
+    # rounded 3 v would show in the last bit of the sum
+    rng = random.Random("count-3")
+    for _ in range(200):
+        m, cutoff, volume = _scaling_draw(rng)
+        entries = tuple(
+            (*(rng.uniform(-1.0, 1.0) for _ in range(3)), count)
+            for count in (3, rng.randint(1, 4))
+        )
+        ms = ModeSet(entries, cutoff, volume, cutoff)
+        want = full_grid_closed_form(list(full_grid(ms)), m, volume)
+        assert repr(vacuum_bilinears(ms, m)) == repr(want)
+        assert repr(sweep_sums(ms, m)) == repr(sweep_channels(want))
 
 
 @pytest.mark.parametrize("count", [0, 5, -1])
@@ -436,8 +473,30 @@ def test_entries_of_a_count_outside_1_to_4_are_rejected(count, magnitudes):
     # -1 trimmed records of the entry before it
     entries = ((*_HAND_MADE[0], 4), (*_HAND_MADE[1], count))
     ms = ModeSet(entries, CUTOFF, 1.0, 1.0)
-    with pytest.raises(ValueError, match=rf"^orbit count must be 1 to 4, got \(.*, {count}\)$"):
+    message = rf"^orbit count must be 1 to 4, got \(.*, {count}\)$"
+    with pytest.raises(ValueError, match=message):
         vacuum_bilinears(ms, M_GENERIC, magnitudes=magnitudes)
+    # and the sweep's pass, which weights a per-orbit term by the count
+    with pytest.raises(ValueError, match=message):
+        sweep_sums(ms, M_GENERIC)
+
+
+@pytest.mark.parametrize("grid_n", range(2, 25))
+def test_sweep_sums_are_the_default_channels_bitwise(grid_n):
+    # seeded media at normal scales, and hand-made entries of every
+    # count at random coordinates: the pass that packs no x or y term
+    # gives the bits of the one that packs them all
+    rng = random.Random(f"sweep-sums/{grid_n}")
+    for _ in range(3):
+        m, cutoff, volume = _scaling_draw(rng)
+        ms = build_mode_set(m, grid_n, cutoff, volume)
+        assert repr(sweep_sums(ms, m)) == repr(sweep_channels(vacuum_bilinears(ms, m)))
+        entries = tuple(
+            (*(rng.uniform(-1.0, 1.0) for _ in range(3)), rng.randint(1, 4))
+            for _ in range(grid_n)
+        )
+        ms = ModeSet(entries, cutoff, volume, cutoff)
+        assert repr(sweep_sums(ms, m)) == repr(sweep_channels(vacuum_bilinears(ms, m)))
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -577,8 +636,12 @@ def test_quartic_ultraviolet_growth():
     assert math.isclose(slopes["abs_e_cross_b"], 3.891667698780366, rel_tol=1e-12)
     for name, slope in slopes.items():
         assert 3.8 <= slope <= 4.2, name
-    # signed odd-in-k channels stay cancelled at every cutoff
-    for _, bs in sweep:
+    # each record is the default sums' channels at the scaled grid, and
+    # the signed odd-in-k channels stay cancelled at every cutoff
+    for c, record in sweep:
+        ms = build_mode_set(M_COUPLED, round(6 * c / cuts[0]), c, 1.0)
+        bs = vacuum_bilinears(ms, M_COUPLED)
+        assert repr(record) == repr(sweep_channels(bs))
         assert bs.e_cross_b == Vec3(0.0, 0.0, 0.0)
         assert bs.b_dot_chiT_e == 0.0
 
@@ -610,11 +673,11 @@ def _scaling_draw(rng):
 
 def _channels(sums) -> dict:
     """Every channel by name; compared by repr, which tells -0.0 from 0.0."""
-    return {
-        f.name: getattr(sums, f.name)
-        for f in dataclasses.fields(sums)
-        if f.name != "mode_count"
-    }
+    if isinstance(sums, SweepSums):
+        names = sums._fields
+    else:
+        names = [f.name for f in dataclasses.fields(sums)]
+    return {name: getattr(sums, name) for name in names if name != "mode_count"}
 
 
 def _times(value, factor):
@@ -629,11 +692,13 @@ def test_doubling_the_cutoff_doubles_every_channel_bitwise(seed, grid_n):
     # the grid, |k| and so every amplitude double exactly; the cutoff
     # filter keeps the same cells
     m, cutoff, volume = _scaling_draw(random.Random(f"cutoff-doubling/{seed}"))
-    a = vacuum_bilinears(build_mode_set(m, grid_n, cutoff, volume), m)
-    b = vacuum_bilinears(build_mode_set(m, grid_n, 2.0 * cutoff, volume), m)
-    assert b.mode_count == a.mode_count
-    want = {name: _times(value, 2.0) for name, value in _channels(a).items()}
-    assert repr(_channels(b)) == repr(want)
+    ms_a = build_mode_set(m, grid_n, cutoff, volume)
+    ms_b = build_mode_set(m, grid_n, 2.0 * cutoff, volume)
+    for sums in (vacuum_bilinears, sweep_sums):
+        a, b = sums(ms_a, m), sums(ms_b, m)
+        assert b.mode_count == a.mode_count
+        want = {name: _times(value, 2.0) for name, value in _channels(a).items()}
+        assert repr(_channels(b)) == repr(want)
 
 
 @pytest.mark.parametrize("grid_n", [6, 9])
@@ -641,9 +706,50 @@ def test_doubling_the_cutoff_doubles_every_channel_bitwise(seed, grid_n):
 def test_doubling_the_volume_halves_every_channel_but_the_energy_bitwise(seed, grid_n):
     # a^2 = 2 pi hbar omega / V; the zero-point energy has no volume
     m, cutoff, volume = _scaling_draw(random.Random(f"volume-doubling/{seed}"))
-    a = vacuum_bilinears(build_mode_set(m, grid_n, cutoff, volume), m)
-    b = vacuum_bilinears(build_mode_set(m, grid_n, cutoff, 2.0 * volume), m)
-    assert b.mode_count == a.mode_count
-    want = {name: _times(value, 0.5) for name, value in _channels(a).items()}
-    want["zero_point_energy"] = a.zero_point_energy
-    assert repr(_channels(b)) == repr(want)
+    ms_a = build_mode_set(m, grid_n, cutoff, volume)
+    ms_b = build_mode_set(m, grid_n, cutoff, 2.0 * volume)
+    for sums in (vacuum_bilinears, sweep_sums):
+        a, b = sums(ms_a, m), sums(ms_b, m)
+        assert b.mode_count == a.mode_count
+        want = {name: _times(value, 0.5) for name, value in _channels(a).items()}
+        want["zero_point_energy"] = a.zero_point_energy
+        assert repr(_channels(b)) == repr(want)
+
+
+def _outcome(sums):
+    """repr of the record sums() returns, or the error it raises."""
+    try:
+        return repr(sums())
+    except NonFiniteResult as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_sweep_sums_raise_where_the_default_call_does():
+    # volumes that put the sums near overflow, with terms up to overflow
+    # themselves; sums in and below the subnormal range; and volumes so
+    # small that n V can underflow to 0. The sweep sums no x or y
+    # component, and each of those terms is at most its pair's hypot term
+    rng = random.Random("sweep-sums-edges")
+    kinds = set()
+    for i in range(300):
+        m, cutoff, _ = _scaling_draw(rng)
+        ms = build_mode_set(m, rng.randint(2, 9), cutoff, 1.0)
+        # every channel but the energy scales as 1 / volume
+        largest = max(sweep_sums(ms, m)[4:])
+        if i % 3 == 0:
+            exponent = rng.uniform(306.0, 309.0 + math.log10(4 * len(ms.orbits)))
+        elif i % 3 == 1:
+            exponent = rng.uniform(-340.0, -300.0)
+        # channels near 10^exponent; 10^(-exponent) itself may overflow
+        volume = largest * 10.0 ** (-exponent / 2) * 10.0 ** (-exponent / 2)
+        if i % 3 == 2:
+            volume = 10.0 ** rng.uniform(-324.0, -320.0)
+        ms = ms._replace(volume=volume)
+        got = _outcome(lambda: sweep_sums(ms, m))
+        assert got == _outcome(lambda: sweep_channels(vacuum_bilinears(ms, m)))
+        kinds.add(got.partition("(" if got.startswith("SweepSums") else " at ")[0])
+    assert kinds == {
+        "SweepSums",
+        "NonFiniteResult: zero-point sums leave the float range",
+        "NonFiniteResult: the zero-point amplitude is undefined: n * volume underflows to 0",
+    }
