@@ -48,6 +48,7 @@ from .momentum import medium_velocity, term_ratio_of, velocity_from_bilinears
 from .relativity import _constant_factors, _constants_at, index_of
 from .vacuum import (
     MAGNITUDE_CHANNELS,
+    SweepSums,
     build_mode_set,
     cutoff_sweep,
     scaling_slopes,
@@ -335,14 +336,7 @@ def cmd_vacuum_sweep(cfg: RunConfig, args) -> int:
         (
             ("sweep_parameter", sweep.parameter),
             ("sweep_value", value),
-            ("mode_count", sums.mode_count),
-            ("zero_point_energy", sums.zero_point_energy),
-            # the odd channels are exactly 0
-            ("e_cross_b_z", 0.0),
-            ("e_cross_chiT_e_z", sums.e_cross_chiT_e_z),
-            ("b_cross_chi_b_z", sums.b_cross_chi_b_z),
-            ("b_dot_chiT_e", 0.0),
-            *((name, getattr(sums, name)) for name in MAGNITUDE_CHANNELS),
+            *zip(SweepSums._fields, sums),
             *((f"slope_{name}", slopes[name]) for name in MAGNITUDE_CHANNELS),
         )
         for value, sums in entries

@@ -69,10 +69,9 @@ component are the negated products; and p + (-q) is exactly p - q.
 Each pair's signed terms are formed once, and |E x chi^T E| and
 |B x chi B| are math.hypot of those same floats, taken in the loop. A
 value that is the same on all pairs of an orbit, |E x B| or
-hbar c |k| / n, is entered once per orbit weighted by its count: count v
-is exact for a count of 1, 2 or 4, and a count of 3 enters as 2 v and v.
-fsum is exactly rounded, so every channel is bit for bit what a
-pair-by-pair sum gives, and where count v overflows, so does that sum.
+hbar c |k| / n, is computed once per orbit and entered once per pair,
+never as a multiple, so every channel is the fsum of exactly the terms
+a pair-by-pair sum forms.
 
 Alongside the four signed sums we track per-wavevector magnitude
 channels (sum over k of |per-k polarization-summed bilinear|). These
@@ -152,17 +151,18 @@ class BilinearSums:
 class SweepSums(
     namedtuple(
         "SweepSums",
-        "mode_count zero_point_energy e_cross_chiT_e_z b_cross_chi_b_z"
-        " abs_e_cross_b abs_e_cross_chiT_e abs_b_cross_chi_b abs_b_dot_chiT_e",
+        "mode_count zero_point_energy e_cross_b_z e_cross_chiT_e_z b_cross_chi_b_z"
+        " b_dot_chiT_e abs_e_cross_b abs_e_cross_chiT_e abs_b_cross_chi_b abs_b_dot_chiT_e",
     )
 ):
     """The vacuum sums one vacuum-sweep row prints, as sweep_sums returns them.
 
-    e_cross_chiT_e_z and b_cross_chi_b_z are the z components of the
-    signed sums, the abs_* fields the magnitude channels and
-    zero_point_energy sum hbar omega / 2 in erg, each bit for bit the
-    same field of the default BilinearSums. The odd channels, exactly 0,
-    are not held.
+    The fields are the row's columns in order. e_cross_b_z and
+    b_dot_chiT_e are the odd channels, exactly 0; e_cross_chiT_e_z and
+    b_cross_chi_b_z are the z components of the chi cross products, the
+    abs_* fields the magnitude channels and zero_point_energy sum
+    hbar omega / 2 in erg, each bit for bit the same field, or its z
+    component, of the default BilinearSums.
     """
 
     __slots__ = ()
@@ -277,7 +277,7 @@ def sweep_sums(ms: ModeSet, m: Material) -> SweepSums:
     same message.
     """
     pairs, (ez, bz, abs_ex, abs_bx, abs_bce, abs_exb, zpe) = _sums(ms, m, False, True)
-    return SweepSums(4 * pairs, zpe, ez, bz, abs_exb, abs_ex, abs_bx, abs_bce)
+    return SweepSums(4 * pairs, zpe, 0.0, ez, bz, 0.0, abs_exb, abs_ex, abs_bx, abs_bce)
 
 
 def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
@@ -305,12 +305,12 @@ def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
     two_n = 2.0 * n
     hypot = math.hypot
 
-    # with signed, each pair's six signed terms; with magnitudes, each
-    # pair's e_z, b_z, |E x chi^T E|, |B x chi B| and |B . chi^T E|, and
-    # each orbit's |E x B| and hbar c |k| / n, which are the same on all
-    # its pairs, weighted by its count
-    pack_signed, pack_pairs, pack_orbit = Struct("24d").pack, Struct("20d").pack, Struct("2d").pack
-    signed_terms, pair_terms, orbit_terms = bytearray(), bytearray(), bytearray()
+    # one record per pair: with signed, its six signed terms; with
+    # magnitudes, its e_z and b_z unless signed gave them, then
+    # |E x chi^T E|, |B x chi B|, |B . chi^T E|, |E x B| and hbar c |k| / n
+    width = (6 if signed else 2) + (5 if magnitudes else 0)
+    pack = Struct(f"{4 * width}d").pack
+    terms = bytearray()
     step = ms.step
     for x, y, z, count in ms.orbits:
         kx, ky, kz = x * step, y * step, z * step
@@ -373,36 +373,46 @@ def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
         b4x = minus_n2a2 * (ax + (vy * s4z - vz * s4y))
         b4y = minus_n2a2 * (ay + (vz * s4x - ux * s4z))
         b4z = minus_n2a2 * (az + (ux * s4y - vy * s4x))
-        if signed:
-            signed_terms += pack_signed(
+        if not magnitudes:
+            terms += pack(
                 e1x, e1y, e1z, b1x, b1y, b1z, e2x, e2y, e2z, b2x, b2y, b2z,
                 e3x, e3y, e3z, b3x, b3y, b3z, e4x, e4y, e4z, b4x, b4y, b4z,
             )
-        if magnitudes:
+        else:
+            # |E x chi^T E| and |B x chi B| are hypot of the pair's own
+            # signed terms; |E x B| and hbar c |k| / n are the same on all
+            # pairs of the orbit, and each pair enters them once
             na2 = n * a2
             p, q, r = ux * ax, uy * ay, uz * az
             f, g = p + q, p - q
-            pair_terms += pack_pairs(
-                e1z, b1z, hypot(e1x, e1y, e1z), hypot(b1x, b1y, b1z), abs(na2 * (f + r)),
-                e2z, b2z, hypot(e2x, e2y, e2z), hypot(b2x, b2y, b2z), abs(na2 * (f - r)),
-                e3z, b3z, hypot(e3x, e3y, e3z), hypot(b3x, b3y, b3z), abs(na2 * (g + r)),
-                e4z, b4z, hypot(e4x, e4y, e4z), hypot(b4x, b4y, b4z), abs(na2 * (g - r)),
-            )
             two_na2 = two_n * a2
             exb = hypot(two_na2 * ux, two_na2 * uy, two_na2 * uz)
             zpe = zpe_per_k * k
-            # count v is exact for a count of 1, 2 or 4, and 3 v is not
-            if count == 3:
-                orbit_terms += pack_orbit(2.0 * exb, 2.0 * zpe)
-                orbit_terms += pack_orbit(exb, zpe)
+            bce1, bce2 = abs(na2 * (f + r)), abs(na2 * (f - r))
+            bce3, bce4 = abs(na2 * (g + r)), abs(na2 * (g - r))
+            ex1, bx1 = hypot(e1x, e1y, e1z), hypot(b1x, b1y, b1z)
+            ex2, bx2 = hypot(e2x, e2y, e2z), hypot(b2x, b2y, b2z)
+            ex3, bx3 = hypot(e3x, e3y, e3z), hypot(b3x, b3y, b3z)
+            ex4, bx4 = hypot(e4x, e4y, e4z), hypot(b4x, b4y, b4z)
+            if signed:
+                terms += pack(
+                    e1x, e1y, e1z, b1x, b1y, b1z, ex1, bx1, bce1, exb, zpe,
+                    e2x, e2y, e2z, b2x, b2y, b2z, ex2, bx2, bce2, exb, zpe,
+                    e3x, e3y, e3z, b3x, b3y, b3z, ex3, bx3, bce3, exb, zpe,
+                    e4x, e4y, e4z, b4x, b4y, b4z, ex4, bx4, bce4, exb, zpe,
+                )
             else:
-                orbit_terms += pack_orbit(count * exb, count * zpe)
+                terms += pack(
+                    e1z, b1z, ex1, bx1, bce1, exb, zpe,
+                    e2z, b2z, ex2, bx2, bce2, exb, zpe,
+                    e3z, b3z, ex3, bx3, bce3, exb, zpe,
+                    e4z, b4z, ex4, bx4, bce4, exb, zpe,
+                )
         if count != 4:
             if not 0 < count < 4:
                 raise ValueError(f"orbit count must be 1 to 4, got {(x, y, z, count)!r}")
             # keep the records of the orbit's count distinct pairs
-            del signed_terms[48 * (count - 4) :]
-            del pair_terms[40 * (count - 4) :]
+            del terms[8 * width * (count - 4) :]
 
     # the odd channels are exactly 0 whatever the size of their terms;
     # with magnitudes, a non-finite odd term also makes its magnitude
@@ -415,23 +425,15 @@ def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
         f" volume={ms.volume!r}"
     )
     fsum = math.fsum
+    terms = memoryview(terms).cast("d")
     try:
-        sums = []
-        if signed:
-            terms = memoryview(signed_terms).cast("d")
-            sums += (2.0 * fsum(terms[i::6]) for i in range(6))
-        if magnitudes:
-            terms = memoryview(pair_terms).cast("d")
-            sums += (2.0 * fsum(terms[i::5]) for i in range(2 if signed else 0, 5))
-            terms = memoryview(orbit_terms).cast("d")
-            sums += (2.0 * fsum(terms[i::2]) for i in range(2))
+        sums = [2.0 * fsum(terms[i::width]) for i in range(width)]
     except (OverflowError, ValueError) as exc:  # overflow, or inf - inf
         raise NonFiniteResult(overflow) from exc
     if not all(map(math.isfinite, sums)):
         raise NonFiniteResult(overflow)
     # one record per pair survives the loop
-    pairs = len(signed_terms) // 48 if signed else len(pair_terms) // 40
-    return pairs, sums
+    return len(terms) // width, sums
 
 
 def cutoff_sweep(m: Material, grid_n: int, cutoffs, volume: float):

@@ -35,7 +35,7 @@ from vacmom import (
 from vacmom.config import RunConfig, SweepSpec, load_config
 
 import record_reference
-from conftest import src_env
+from conftest import ROOT, src_env
 from record_reference import outcome, wide
 from portable_checks import (
     BROKEN_LINES,
@@ -808,6 +808,37 @@ def test_velocity_bytes_see_one_ulp_of_the_chi_sums(tmp_path, capsys, monkeypatc
     rc, after, _ = run_cli(capsys, ["velocity", path])
     assert rc == 0
     assert after != before
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_oracles_reject_one_ulp_of_the_sweep_sums(tmp_path, capsys, monkeypatch, seed):
+    # the benchmark's cutoff-sweep ops and oracles, in process: every op
+    # passes as shipped and fails with each float of its sums one ulp up
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from oracles import check
+    from workloads import Generator
+
+    ops = Generator("cutoff-sweep", seed, tiny=True).cycle(0)
+
+    def problems():
+        found = []
+        for op in ops:
+            rc, out, _ = run_cli(capsys, op.argv(write_config(tmp_path, op.config)))
+            found.append(check(op, rc, out))
+        return found
+
+    assert problems() == [[]] * len(ops)
+    original = vacuum.sweep_sums
+
+    def up(v):
+        return math.nextafter(v, math.inf) if isinstance(v, float) else v
+
+    def bumped(ms, m):
+        return vacuum.SweepSums(*map(up, original(ms, m)))
+
+    monkeypatch.setattr(vacuum, "sweep_sums", bumped)
+    monkeypatch.setattr(cli, "sweep_sums", bumped)
+    assert all(problems())
 
 
 @pytest.mark.parametrize("scale", [1e85, 1e-80])
