@@ -76,11 +76,15 @@ a pair-by-pair sum forms.
 Alongside the four signed sums we track per-wavevector magnitude
 channels (sum over k of |per-k polarization-summed bilinear|). These
 are what grows with the cutoff and what the scaling diagnostics fit.
-The velocity equation reads only the signed sums, so a caller can ask
-for those alone and skip the magnitudes and the zero-point energy. A
-vacuum-sweep row reads the magnitudes, the energy and only the z
-components of the chi cross products: sweep_sums sums those alone and
-never packs or sums an x or y component.
+The sums take one of two passes over the orbits. The signed pass
+sums the x, y and z components of the chi cross products, all that
+the velocity equation reads. The magnitude pass, sweep_sums, sums
+what a vacuum-sweep row reads: the magnitudes, the energy and only the
+z components of the chi cross products; it never packs or sums an x or
+y component. Both form a pair's signed terms by the same statements,
+so their z components agree bit for bit. vacuum_bilinears takes the
+signed pass, and by default also sweep_sums, whose magnitudes and
+energy it returns as they are; magnitudes=False skips the second pass.
 A sum that leaves the float range raises NonFiniteResult.
 """
 
@@ -89,7 +93,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from struct import Struct
@@ -125,27 +128,25 @@ class ModeSet(namedtuple("ModeSet", "orbits cutoff volume step")):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BilinearSums:
+class BilinearSums(
+    namedtuple(
+        "BilinearSums",
+        "e_cross_b e_cross_chiT_e b_cross_chi_b b_dot_chiT_e abs_e_cross_b"
+        " abs_e_cross_chiT_e abs_b_cross_chi_b abs_b_dot_chiT_e mode_count zero_point_energy",
+    )
+):
     """Vacuum-summed field bilinears over a mode set.
 
-    e_cross_b, e_cross_chiT_e, b_cross_chi_b, b_dot_chiT_e are the
-    signed sums entering the velocity equation. The abs_* fields are the
-    per-wavevector magnitude channels described in the module docstring.
-    zero_point_energy is sum hbar omega / 2 over modes, in erg. The abs_*
-    fields and zero_point_energy are None when the sum left them out.
+    e_cross_b, e_cross_chiT_e, b_cross_chi_b (Vec3) and b_dot_chiT_e are
+    the signed sums entering the velocity equation. The abs_* fields are
+    the per-wavevector magnitude channels described in the module
+    docstring, and zero_point_energy is sum hbar omega / 2 over modes,
+    in erg: the fields of the same names of sweep_sums(ms, m). The
+    abs_* fields and zero_point_energy are None when the sum left them
+    out.
     """
 
-    e_cross_b: Vec3
-    e_cross_chiT_e: Vec3
-    b_cross_chi_b: Vec3
-    b_dot_chiT_e: float
-    abs_e_cross_b: float | None
-    abs_e_cross_chiT_e: float | None
-    abs_b_cross_chi_b: float | None
-    abs_b_dot_chiT_e: float | None
-    mode_count: int
-    zero_point_energy: float | None
+    __slots__ = ()
 
 
 class SweepSums(
@@ -159,10 +160,10 @@ class SweepSums(
 
     The fields are the row's columns in order. e_cross_b_z and
     b_dot_chiT_e are the odd channels, exactly 0; e_cross_chiT_e_z and
-    b_cross_chi_b_z are the z components of the chi cross products, the
-    abs_* fields the magnitude channels and zero_point_energy sum
-    hbar omega / 2 in erg, each bit for bit the same field, or its z
-    component, of the default BilinearSums.
+    b_cross_chi_b_z are the z components of the chi cross products, bit
+    for bit those of vacuum_bilinears. The abs_* fields are the
+    magnitude channels and zero_point_energy is sum hbar omega / 2 in
+    erg: the default vacuum_bilinears takes these five from here.
     """
 
     __slots__ = ()
@@ -241,16 +242,20 @@ def vacuum_bilinears(
 ) -> BilinearSums:
     """Sum the velocity-equation bilinears over all zero-point modes.
 
-    magnitudes=False computes only the signed sums, which are all the
-    velocity equation reads; the abs_* fields and zero_point_energy are
-    then None. The signed sums are bit for bit those of the default call.
+    The signed sums come from one pass. By default the abs_* fields and
+    zero_point_energy are those of sweep_sums(ms, m), a second pass;
+    magnitudes=False leaves them None and computes only the signed sums,
+    which are all the velocity equation reads.
     Raises ValueError if an orbit's count is not 1 to 4, and
     NonFiniteResult if a computed sum leaves the float range, or
     if n V underflows to 0, which leaves the amplitude undefined.
     """
-    pairs, sums = _sums(ms, m, True, magnitudes)
+    pairs, sums = _sums(ms, m, True)
     if magnitudes:
-        abs_ex, abs_bx, abs_bce, abs_exb, zpe = sums[6:]
+        sweep = sweep_sums(ms, m)
+        abs_exb, abs_ex = sweep.abs_e_cross_b, sweep.abs_e_cross_chiT_e
+        abs_bx, abs_bce = sweep.abs_b_cross_chi_b, sweep.abs_b_dot_chiT_e
+        zpe = sweep.zero_point_energy
     else:
         abs_ex = abs_bx = abs_bce = abs_exb = zpe = None
     return BilinearSums(
@@ -270,23 +275,22 @@ def vacuum_bilinears(
 def sweep_sums(ms: ModeSet, m: Material) -> SweepSums:
     """The channels of one vacuum-sweep row, summed over all zero-point modes.
 
-    Each field is bit for bit the field of the same name, or the z
-    component, of the default vacuum_bilinears(ms, m). The x and y
-    components of the chi cross products are neither packed nor summed.
-    Raises what the default vacuum_bilinears(ms, m) raises, with the
-    same message.
+    e_cross_chiT_e_z and b_cross_chi_b_z are bit for bit the z
+    components of vacuum_bilinears(ms, m); the x and y components are
+    neither packed nor summed. Raises what vacuum_bilinears(ms, m)
+    raises, with the same message.
     """
-    pairs, (ez, bz, abs_ex, abs_bx, abs_bce, abs_exb, zpe) = _sums(ms, m, False, True)
+    pairs, (ez, bz, abs_ex, abs_bx, abs_bce, abs_exb, zpe) = _sums(ms, m, False)
     return SweepSums(4 * pairs, zpe, 0.0, ez, bz, 0.0, abs_exb, abs_ex, abs_bx, abs_bce)
 
 
-def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
+def _sums(ms: ModeSet, m: Material, signed: bool):
     """One pass over the orbits of ms: the pair count and the doubled sums.
 
-    With signed, the sums start with the x, y and z components of
-    E x chi^T E and of B x chi B. With magnitudes, these follow: the z
-    components of both unless signed gave them, |E x chi^T E|,
-    |B x chi B|, |B . chi^T E|, |E x B| and the zero-point energy.
+    With signed, the sums are the x, y and z components of E x chi^T E
+    and of B x chi B. Without, they are the z components of both,
+    |E x chi^T E|, |B x chi B|, |B . chi^T E|, |E x B| and the
+    zero-point energy.
     """
     if not ms.orbits:
         raise EmptyModeSet("mode set is empty")
@@ -305,10 +309,10 @@ def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
     two_n = 2.0 * n
     hypot = math.hypot
 
-    # one record per pair: with signed, its six signed terms; with
-    # magnitudes, its e_z and b_z unless signed gave them, then
-    # |E x chi^T E|, |B x chi B|, |B . chi^T E|, |E x B| and hbar c |k| / n
-    width = (6 if signed else 2) + (5 if magnitudes else 0)
+    # one record per pair: with signed, its six signed terms; without,
+    # its e_z, b_z, |E x chi^T E|, |B x chi B|, |B . chi^T E|, |E x B|
+    # and hbar c |k| / n
+    width = 6 if signed else 7
     pack = Struct(f"{4 * width}d").pack
     terms = bytearray()
     step = ms.step
@@ -373,7 +377,7 @@ def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
         b4x = minus_n2a2 * (ax + (vy * s4z - vz * s4y))
         b4y = minus_n2a2 * (ay + (vz * s4x - ux * s4z))
         b4z = minus_n2a2 * (az + (ux * s4y - vy * s4x))
-        if not magnitudes:
+        if signed:
             terms += pack(
                 e1x, e1y, e1z, b1x, b1y, b1z, e2x, e2y, e2z, b2x, b2y, b2z,
                 e3x, e3y, e3z, b3x, b3y, b3z, e4x, e4y, e4z, b4x, b4y, b4z,
@@ -394,20 +398,12 @@ def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
             ex2, bx2 = hypot(e2x, e2y, e2z), hypot(b2x, b2y, b2z)
             ex3, bx3 = hypot(e3x, e3y, e3z), hypot(b3x, b3y, b3z)
             ex4, bx4 = hypot(e4x, e4y, e4z), hypot(b4x, b4y, b4z)
-            if signed:
-                terms += pack(
-                    e1x, e1y, e1z, b1x, b1y, b1z, ex1, bx1, bce1, exb, zpe,
-                    e2x, e2y, e2z, b2x, b2y, b2z, ex2, bx2, bce2, exb, zpe,
-                    e3x, e3y, e3z, b3x, b3y, b3z, ex3, bx3, bce3, exb, zpe,
-                    e4x, e4y, e4z, b4x, b4y, b4z, ex4, bx4, bce4, exb, zpe,
-                )
-            else:
-                terms += pack(
-                    e1z, b1z, ex1, bx1, bce1, exb, zpe,
-                    e2z, b2z, ex2, bx2, bce2, exb, zpe,
-                    e3z, b3z, ex3, bx3, bce3, exb, zpe,
-                    e4z, b4z, ex4, bx4, bce4, exb, zpe,
-                )
+            terms += pack(
+                e1z, b1z, ex1, bx1, bce1, exb, zpe,
+                e2z, b2z, ex2, bx2, bce2, exb, zpe,
+                e3z, b3z, ex3, bx3, bce3, exb, zpe,
+                e4z, b4z, ex4, bx4, bce4, exb, zpe,
+            )
         if count != 4:
             if not 0 < count < 4:
                 raise ValueError(f"orbit count must be 1 to 4, got {(x, y, z, count)!r}")
@@ -415,11 +411,11 @@ def _sums(ms: ModeSet, m: Material, signed: bool, magnitudes: bool):
             del terms[8 * width * (count - 4) :]
 
     # the odd channels are exactly 0 whatever the size of their terms;
-    # with magnitudes, a non-finite odd term also makes its magnitude
-    # channel non-finite, so the checks below cover every channel computed.
-    # Without signed they raise where they would with it: each x or y term
-    # is at most its pair's hypot term, so where the x or y sum would
-    # overflow, the magnitude sum does too
+    # without signed, a non-finite odd term makes its magnitude channel
+    # non-finite, so the checks below cover every channel computed. That
+    # pass raises wherever the signed one does: each x or y term is at
+    # most its pair's hypot term, so where the x or y sum would overflow,
+    # the magnitude sum does too
     overflow = (
         f"zero-point sums leave the float range at cutoff={ms.cutoff!r},"
         f" volume={ms.volume!r}"

@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import csv
-import dataclasses
 import fractions
 import io
 import json
@@ -798,8 +797,7 @@ def test_velocity_bytes_see_one_ulp_of_the_chi_sums(tmp_path, capsys, monkeypatc
 
     def bumped(*args, **kwargs):
         sums = original(*args, **kwargs)
-        return dataclasses.replace(
-            sums,
+        return sums._replace(
             e_cross_chiT_e=up(sums.e_cross_chiT_e),
             b_cross_chi_b=up(sums.b_cross_chi_b),
         )

@@ -123,9 +123,12 @@ def test_importing_the_package_loads_only_the_layers_used():
         print(sorted(m for m in sys.modules if m.startswith("vacmom.")))
         from vacmom import transform_constants, verify_expansion, medium_velocity, load_config
         print(sorted({"vacmom.vacuum", "vacmom.cli", "dataclasses"} & set(sys.modules)))
+        # and no record of any layer is a dataclass
+        import vacmom.cli
+        print("dataclasses" in sys.modules)
         """
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60
     )
-    assert result.stdout.splitlines() == ["[]", "[]"], result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]", "False"], result.stderr

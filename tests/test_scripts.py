@@ -13,6 +13,33 @@ from conftest import ROOT, src_env
 from vacmom import cli
 
 
+# the default vacuum_bilinears call's signed sums and zero-point energy
+# reach this report, its only caller outside the tests and the benchmark
+_MOMENTUM_REPORT = (
+    '[classical crossed fields]\n'
+    '  (eps mu - 1) E x B   z:  3.318023e-12\n'
+    '  E x (chi^T E)        z:  2.654419e-16\n'
+    '  -B x (chi B)         z:  2.654419e-16\n'
+    '  mu-transform term    z: -2.212016e-16\n'
+    '  v_z                   :  3.318333e-12 cm/s\n'
+    '  transverse residual   :  0.000000e+00\n'
+    '  correction/others     :  6.665600e-05\n'
+    '\n'
+    '  Lagrangian consistency residual: 4.930e-32\n'
+    '\n'
+    '[vacuum expectation, 560 modes]\n'
+    '  (eps mu - 1) E x B   z:  0.000000e+00\n'
+    '  E x (chi^T E)        z:  9.968793e-25\n'
+    '  -B x (chi B)         z:  2.242978e-24\n'
+    '  mu-transform term    z: -0.000000e+00\n'
+    '  v_z                   :  3.239858e-24 cm/s\n'
+    '  transverse residual   :  0.000000e+00\n'
+    '  correction/others     :  0.000000e+00\n'
+    '\n'
+    '  zero-point energy density: 4.482853e-10 erg/cm^3\n'
+)
+
+
 @pytest.mark.parametrize("script", ["expansion_order_scan.py", "momentum_report.py"])
 def test_script_runs_with_defaults(script):
     result = subprocess.run(
@@ -24,6 +51,8 @@ def test_script_runs_with_defaults(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if script == "momentum_report.py":
+        assert result.stdout == _MOMENTUM_REPORT
 
 
 def test_readme_quick_tour_runs():

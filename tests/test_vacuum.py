@@ -1,6 +1,5 @@
 """Zero-point mode construction, vacuum bilinear sums, cutoff scaling."""
 
-import dataclasses
 import math
 import random
 import sys
@@ -470,18 +469,21 @@ def test_entries_of_a_count_outside_1_to_4_are_rejected(count, magnitudes):
 def test_sweep_sums_are_the_default_channels_bitwise(grid_n):
     # seeded media at normal scales, and hand-made entries of every
     # count at random coordinates: the pass that packs no x or y term
-    # gives the bits of the one that packs them all
+    # and the signed pass each give the bits of the closed forms summed
+    # over the full grid, so their z components agree
     rng = random.Random(f"sweep-sums/{grid_n}")
     for _ in range(3):
         m, cutoff, volume = _scaling_draw(rng)
-        ms = build_mode_set(m, grid_n, cutoff, volume)
-        assert repr(sweep_sums(ms, m)) == repr(sweep_channels(vacuum_bilinears(ms, m)))
+        grid = build_mode_set(m, grid_n, cutoff, volume)
         entries = tuple(
             (*(rng.uniform(-1.0, 1.0) for _ in range(3)), rng.randint(1, 4))
             for _ in range(grid_n)
         )
-        ms = ModeSet(entries, cutoff, volume, cutoff)
-        assert repr(sweep_sums(ms, m)) == repr(sweep_channels(vacuum_bilinears(ms, m)))
+        for ms in (grid, ModeSet(entries, cutoff, volume, cutoff)):
+            want = full_grid_closed_form(list(full_grid(ms)), m, volume)
+            assert repr(sweep_sums(ms, m)) == repr(sweep_channels(want))
+            signed = want._replace(**dict.fromkeys((*MAGNITUDE_CHANNELS, "zero_point_energy")))
+            assert repr(vacuum_bilinears(ms, m, magnitudes=False)) == repr(signed)
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -537,7 +539,12 @@ def test_signed_sums_follow_the_two_thirds_law(chi, eps, mu, grid_n, volume):
     # only the antisymmetric part of chi survives the sums
     m = Material(eps, mu, Mat3(*chi), 1.0)
     ms = build_mode_set(m, grid_n, CUTOFF, volume)
-    s = 2.0 * math.pi / volume * vacuum_bilinears(ms, m).zero_point_energy
+    sweep = sweep_sums(ms, m)
+    s = 2.0 * math.pi / volume * sweep.zero_point_energy
+    # per wavevector |E x B| = 2 n a^2 and hbar omega = hbar c |k| / n,
+    # so over the grid |E x B| = (4 pi n / V) ZPE
+    law = 4.0 * math.pi * m.index / volume * sweep.zero_point_energy
+    assert math.isclose(sweep.abs_e_cross_b, law, rel_tol=1e-13)
     fast = vacuum_bilinears(ms, m, magnitudes=False)
     xx, xy, xz, yx, yy, yz, zx, zy, zz = m.chi
     ax_chi = (yz - zy, zx - xz, xy - yx)
@@ -658,11 +665,7 @@ def _scaling_draw(rng):
 
 def _channels(sums) -> dict:
     """Every channel by name; compared by repr, which tells -0.0 from 0.0."""
-    if isinstance(sums, SweepSums):
-        names = sums._fields
-    else:
-        names = [f.name for f in dataclasses.fields(sums)]
-    return {name: getattr(sums, name) for name in names if name != "mode_count"}
+    return {name: getattr(sums, name) for name in sums._fields if name != "mode_count"}
 
 
 def _times(value, factor):
