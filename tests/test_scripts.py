@@ -40,7 +40,10 @@ _MOMENTUM_REPORT = (
 )
 
 
-@pytest.mark.parametrize("script", ["expansion_order_scan.py", "momentum_report.py"])
+# every script the stdlib-only CI job runs, found by the same glob
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+)
 def test_script_runs_with_defaults(script):
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],

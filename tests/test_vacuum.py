@@ -136,6 +136,9 @@ def test_wavevectors_come_in_exact_opposite_pairs():
 )
 @example(grid_n=2, cutoff=1e-310)
 @example(grid_n=3, cutoff=1e-315)
+# a subnormal step at which the one cell's hypot, sqrt(3) * 5e-324,
+# rounds to the cutoff itself: a strict filter keeps nothing
+@example(grid_n=2, cutoff=1e-323)
 @example(grid_n=9, cutoff=2.2250738585072014e-308)
 def test_grid_is_the_cell_centres_of_step_2_cutoff_over_grid_n(grid_n, cutoff):
     # the reference steps by 2.0 * cutoff / grid_n, subnormal cutoffs too
