@@ -16,7 +16,6 @@ from vacmom import (
     Material,
     Vec3,
     build_mode_set,
-    lagrangian_consistency_check,
     medium_velocity,
     term_ratio_of,
     vacuum_bilinears,
@@ -59,9 +58,6 @@ def main():
     f = FieldState(Vec3(args.e0, 0.0, 0.0), Vec3(0.0, args.b0, 0.0))
     classical = medium_velocity(m, f)
     report("classical crossed fields", classical, term_ratio_of(classical))
-    check = lagrangian_consistency_check(m, f)
-    print(f"  Lagrangian consistency residual: {check:.3e}")
-    print()
 
     ms = build_mode_set(m, args.grid, args.cutoff, 1.0)
     sums = vacuum_bilinears(ms, m)

@@ -26,9 +26,9 @@ _EXPORTS = {
     "errors": "ConfigError DegenerateBoost DegenerateGrid EmptyModeSet NonFiniteResult"
     " VacmomError",
     "lagrangian": "ExpansionReport LagrangianBreakdown isolate_mu_term me_density_exact"
-    " me_density_first_order vector_form_density verify_expansion",
-    "momentum": "Bilinears VelocityResult lagrangian_consistency_check medium_velocity"
-    " term_ratio_of velocity_from_bilinears",
+    " me_density_first_order verify_expansion",
+    "momentum": "Bilinears VelocityResult medium_velocity term_ratio_of"
+    " velocity_from_bilinears",
     "relativity": "TransformedConstants index_of transform_constants transform_fields",
     "vacuum": "MAGNITUDE_CHANNELS BilinearSums ModeSet SweepSums build_mode_set"
     " cutoff_sweep scaling_slopes sweep_sums vacuum_bilinears",

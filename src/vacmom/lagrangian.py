@@ -1,6 +1,6 @@
 """Magnetoelectric interaction Lagrangian density of a moving medium.
 
-Three views of the same physics:
+Two views of the same physics:
 
 * me_density_exact: the full composition (1/mu'(beta)) B' . chi^T E'
   with exactly transformed constants and fields. This is the reference
@@ -14,9 +14,6 @@ Three views of the same physics:
   Only their factor beta/mu depends on beta: _first_order_factors
   forms the others and _first_order_at the pieces at one beta, so
   verify_expansion forms the factors once for its whole grid.
-* vector_form_density: the first-order pieces rewritten with cross
-  products pulled against the boost direction; equal to
-  mixing + mu_correction through the cyclic triple-product identity.
 
 Densities here carry no 1/4pi measure; that constant enters once, in
 the momentum module.
@@ -35,7 +32,6 @@ from .algebra import (
     cross,
     dot,
     fit_loglog_slope,
-    mat_apply,
     mat_t_apply,
 )
 from .errors import DegenerateGrid, NonFiniteResult
@@ -139,22 +135,6 @@ def me_density_first_order(m: Material, f: FieldState, b: BoostSpec) -> Lagrangi
     mu_correction (beta/mu) (n - 1/n) B . chi^T E
     """
     return _first_order_at(m.mu, _first_order_factors(m, f), b.beta)
-
-
-def vector_form_density(m: Material, f: FieldState, b: BoostSpec) -> float:
-    """First-order interaction pieces in boost-projected vector form.
-
-    (beta/mu) z . [B x (chi B) - E x (chi^T E)]
-      + (beta/mu) (n - 1/n) B . chi^T E
-
-    Excludes the beta-independent zeroth piece. Equals
-    mixing + mu_correction of me_density_first_order up to round-off.
-    """
-    chi_t_e = mat_t_apply(m.chi, f.E)
-    swirl = dot(ZHAT, cross(f.B, mat_apply(m.chi, f.B)) - cross(f.E, chi_t_e))
-    n = m.index
-    bce = dot(f.B, chi_t_e)
-    return (b.beta / m.mu) * swirl + (b.beta / m.mu) * (n - 1.0 / n) * bce
 
 
 def isolate_mu_term(m: Material, f: FieldState, b: BoostSpec) -> float:

@@ -23,10 +23,9 @@ import math
 import sys
 from collections import namedtuple
 
-from .algebra import BoostSpec, FieldState, Material, Vec3
+from .algebra import FieldState, Material, Vec3
 from .constants import C_LIGHT, FOUR_PI
 from .errors import NonFiniteResult
-from .lagrangian import vector_form_density
 
 _RATIO_FLOOR = 1e-300
 _isfinite = math.isfinite
@@ -180,22 +179,3 @@ def term_ratio_of(vr: VelocityResult) -> float | None:
     if abs(denom) < _RATIO_FLOOR:
         return None
     return abs(vr.mu_term_z) / abs(denom)
-
-
-def lagrangian_consistency_check(m: Material, f: FieldState) -> float:
-    """Cross-check between the Lagrangian and the velocity equation.
-
-    vector_form_density is linear in beta, so its beta-slope is twice its
-    value at beta = 1/2; scaling by a power of two is exact, so short of
-    subnormals this is the coefficient (1/mu) [z . (B x chi B - E x chi^T E)
-    + (n - 1/n) B . chi^T E] bit for bit. Divided by c and the 4pi measure
-    it is the v-derivative of the interaction density at v = 0, compared
-    against the chi-dependent part of rho0 * rhs. The equation of motion
-    carries that derivative with a flipped sign, so the check returns
-    |derivative + chi_part|, pure round-off when both sides agree. The
-    (eps mu - 1) E x B term originates elsewhere and is excluded.
-    """
-    derivative = 2.0 * vector_form_density(m, f, BoostSpec(0.5)) / C_LIGHT / FOUR_PI
-    vr = medium_velocity(m, f)
-    chi_part = vr.chi_E_term.z + vr.chi_B_term.z + vr.mu_term_z
-    return abs(derivative + chi_part)

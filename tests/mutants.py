@@ -96,6 +96,20 @@ MUTANTS = (
         ("tests/test_momentum.py",),
     ),
     Mutant(
+        "velocity bracket with eps mu + 1",
+        "src/vacmom/momentum.py",
+        "m.epsilon * m.mu - 1.0",
+        "m.epsilon * m.mu + 1.0",
+        ("tests/test_covariant.py",),
+    ),
+    Mutant(
+        "B x chi B term with its sign flipped",
+        "src/vacmom/momentum.py",
+        "chi_b = -pref",
+        "chi_b = pref",
+        ("tests/test_covariant.py",),
+    ),
+    Mutant(
         "first-order stretch n + 1/n",
         "src/vacmom/lagrangian.py",
         "return zeroth, bce, bracket, n - 1.0 / n",

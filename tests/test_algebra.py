@@ -87,7 +87,8 @@ def test_triple_examples():
 @settings(max_examples=200)
 @given(vectors, vectors, vectors)
 def test_triple_cyclic(a, b, c):
-    # the cyclic identity vector_form_density relies on
+    # the cyclic identity that turns me_density_first_order's mixing
+    # bracket into z . (B x chi B - E x chi^T E)
     scale = norm(a) * norm(b) * norm(c)
     assert abs(_triple(a, b, c) - _triple(c, a, b)) <= 1e-12 * max(scale, 1e-30)
 

@@ -1,11 +1,9 @@
-"""Interaction density: truncation pieces, vector form, order verification."""
+"""Interaction density: exact and first-order forms, order verification."""
 
 import math
 import struct
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import XHAT, YHAT, diagonal, draw_config, make_rng, scale, transpose
 from test_relativity import _vector_form
@@ -27,7 +25,6 @@ from vacmom import (
     dot,
     me_density_exact,
     me_density_first_order,
-    vector_form_density,
     verify_expansion,
 )
 from vacmom.algebra import fit_loglog_slope
@@ -98,53 +95,12 @@ def test_mu_correction_tiny_when_index_near_unity():
     assert abs(bk.mu_correction) <= 1e-15
 
 
-def test_vector_form_zero_boost():
-    assert vector_form_density(M_GOLDEN, F_GOLDEN, BoostSpec(0.0)) == 0.0
-
-
-def test_vector_form_scalar_chi_leaves_only_mu_correction():
+def test_scalar_chi_leaves_no_mixing():
     # for chi = c*I both cross products involve parallel vectors
     m = Material(2.25, 1.0, diagonal(0.2, 0.2, 0.2), 1.0)
     f = FieldState(Vec3(0.3, -0.4, 0.1), Vec3(0.7, 0.2, -0.5))
-    b = BoostSpec(0.03)
-    bk = me_density_first_order(m, f, b)
-    got = vector_form_density(m, f, b)
-    assert math.isclose(got, bk.mu_correction, rel_tol=1e-12)
+    bk = me_density_first_order(m, f, BoostSpec(0.03))
     assert abs(bk.mixing) <= 1e-15 * abs(bk.zeroth)
-
-
-def test_vector_form_matches_first_order_pieces_seeded():
-    rng = make_rng(77)
-    for _ in range(200):
-        m, f = draw_config(rng)
-        beta = float(rng.uniform(-0.9, 0.9))
-        bk = me_density_first_order(m, f, BoostSpec(beta))
-        got = vector_form_density(m, f, BoostSpec(beta))
-        want = bk.mixing + bk.mu_correction
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(bk.total_first_order))
-
-
-entry = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
-component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-
-
-@settings(max_examples=150)
-@given(
-    st.floats(min_value=0.3, max_value=4.0, allow_nan=False),
-    st.floats(min_value=0.3, max_value=4.0, allow_nan=False),
-    st.builds(Mat3, *([entry] * 9)),
-    st.builds(Vec3, component, component, component),
-    st.builds(Vec3, component, component, component),
-    st.floats(min_value=-0.9, max_value=0.9, allow_nan=False),
-)
-def test_vector_form_equivalence_property(eps, mu, chi, e, b, beta):
-    m = Material(eps, mu, chi, 1.0)
-    f = FieldState(e, b)
-    bk = me_density_first_order(m, f, BoostSpec(beta))
-    got = vector_form_density(m, f, BoostSpec(beta))
-    assert abs(got - (bk.mixing + bk.mu_correction)) <= 1e-12 * max(
-        1.0, abs(bk.total_first_order)
-    )
 
 
 def test_breakdown_bilinearity_piecewise():
@@ -181,7 +137,6 @@ def test_degenerate_fields_are_legal():
     f = FieldState(zero, zero)
     assert me_density_exact(M_GOLDEN, f, BoostSpec(0.3)) == 0.0
     assert me_density_first_order(M_GOLDEN, f, BoostSpec(0.3)).total_first_order == 0.0
-    assert vector_form_density(M_GOLDEN, f, BoostSpec(0.3)) == 0.0
 
 
 def test_verify_expansion_grid_validation():

@@ -25,8 +25,6 @@ _MOMENTUM_REPORT = (
     '  transverse residual   :  0.000000e+00\n'
     '  correction/others     :  6.665600e-05\n'
     '\n'
-    '  Lagrangian consistency residual: 4.930e-32\n'
-    '\n'
     '[vacuum expectation, 560 modes]\n'
     '  (eps mu - 1) E x B   z:  0.000000e+00\n'
     '  E x (chi^T E)        z:  9.968793e-25\n'
